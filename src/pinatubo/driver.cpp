@@ -164,163 +164,58 @@ void PimRuntime::pim_write(Handle h, const BitVector& data) {
 
 BitVector PimRuntime::pim_read(Handle h) const { return gather(placement(h)); }
 
-void PimRuntime::execute_intra(BitOp op, const std::vector<Placement>& srcs_in,
-                               const Placement& dst, unsigned max_rows) {
-  // In-place operations (dst also a source) must consume the dst operand in
-  // the FIRST activation — later chain steps reuse the dst row as the
-  // accumulator and would otherwise read the overwritten value.  All
-  // chained ops here are commutative, so reordering is sound.
-  std::vector<Placement> srcs = srcs_in;
-  std::stable_partition(srcs.begin(), srcs.end(), [&](const Placement& p) {
-    return p.same_subarray(dst) && p.first_row == dst.first_row &&
-           p.column_aligned(dst);
-  });
-  const auto& g = mem_.geometry();
-  const std::uint64_t bank_share = g.sense_step_bits() / g.banks_per_chip;
-  const std::size_t win_lo = dst.col_stripe * bank_share;
-  const std::size_t win_len = dst.stripes * bank_share;
-
-  for (std::uint64_t grp = 0; grp < dst.groups; ++grp) {
-    for (unsigned b = 0; b < g.banks_per_chip; ++b) {
-      auto row_of = [&](const Placement& p) {
-        return mem::RowAddr{p.channel, p.group_rank(grp, g.ranks_per_channel),
-                            b, p.subarray,
-                            p.group_row(grp, g.ranks_per_channel)};
-      };
-      auto write_window = [&](const BitVector& full_row) {
-        BitVector window(win_len);
-        copy_bits(window.words(), 0, full_row.words(), win_lo, win_len);
-        mem_.write_row_partial(row_of(dst), win_lo, window);
-      };
-      if (op == BitOp::kInv) {
-        write_window(mem_.sense_rows({row_of(srcs[0])}, BitOp::kInv));
-        continue;
-      }
-      const auto n = static_cast<unsigned>(srcs.size());
-      unsigned consumed = std::min(max_rows, n);
-      std::vector<mem::RowAddr> rows;
-      for (unsigned i = 0; i < consumed; ++i) rows.push_back(row_of(srcs[i]));
-      write_window(mem_.sense_rows(rows, op));
-      while (consumed < n) {
-        const unsigned k = std::min(max_rows, n - consumed + 1);
-        rows.clear();
-        rows.push_back(row_of(dst));  // accumulator
-        for (unsigned i = 0; i + 1 < k; ++i)
-          rows.push_back(row_of(srcs[consumed + i]));
-        write_window(mem_.sense_rows(rows, op));
-        consumed += k - 1;
-      }
-    }
-  }
-}
-
-bool PimRuntime::execute_intra_reliable(BitOp op,
-                                        const std::vector<Placement>& srcs_in,
-                                        const Placement& dst,
-                                        unsigned max_rows, OpPlan& executed) {
-  // Same in-place ordering rule as execute_intra: dst-aliasing operands
-  // must be consumed by the first activation.
-  std::vector<Placement> srcs = srcs_in;
-  std::stable_partition(srcs.begin(), srcs.end(), [&](const Placement& p) {
-    return p.same_subarray(dst) && p.first_row == dst.first_row &&
-           p.column_aligned(dst);
-  });
-  for (std::uint64_t grp = 0; grp < dst.groups; ++grp) {
-    if (op == BitOp::kInv) {
-      if (!reliable_activation(op, {srcs[0]}, dst, grp, executed))
-        return false;
-      continue;
-    }
-    const auto n = static_cast<unsigned>(srcs.size());
-    unsigned consumed = std::min(max_rows, n);
-    std::vector<Placement> set(srcs.begin(), srcs.begin() + consumed);
-    if (!reliable_activation(op, set, dst, grp, executed)) return false;
-    while (consumed < n) {
-      const unsigned k = std::min(max_rows, n - consumed + 1);
-      set.assign(1, dst);  // accumulator
-      set.insert(set.end(), srcs.begin() + consumed,
-                 srcs.begin() + consumed + (k - 1));
-      if (!reliable_activation(op, set, dst, grp, executed)) return false;
-      consumed += k - 1;
-    }
-  }
-  return true;
-}
-
-bool PimRuntime::reliable_activation(BitOp op,
-                                     const std::vector<Placement>& operands,
-                                     const Placement& dst, std::uint64_t grp,
-                                     OpPlan& executed) {
+bool PimRuntime::activate(const PlanStep& planned, OpPlan& executed) {
   using reliability::SenseVerify;
   using reliability::WriteVerify;
   const auto& g = mem_.geometry();
-  const unsigned ranks = g.ranks_per_channel;
-  const std::uint64_t group_bits = g.row_group_bits();
-  const std::uint64_t step_bits = g.sense_step_bits();
-  const std::uint64_t bank_share = step_bits / g.banks_per_chip;
-  const std::size_t win_lo = dst.col_stripe * bank_share;
-  const std::size_t win_len = dst.stripes * bank_share;
-  const std::uint64_t bits_g =
-      std::min(dst.bits - grp * group_bits,
-               dst.groups == 1 ? dst.bits : group_bits);
-  const auto cols =
-      static_cast<unsigned>((bits_g + step_bits - 1) / step_bits);
-  const auto k = static_cast<unsigned>(operands.size());
   const auto& rel = opts_.reliability;
+  const std::size_t bank_share = g.sense_step_bits() / g.banks_per_chip;
+  const std::size_t win_lo = planned.col_start * bank_share;
+  const std::size_t win_len = planned.col_steps * bank_share;
+  const auto k = static_cast<unsigned>(planned.reads.size());
 
-  auto addr_of = [&](const Placement& p, unsigned bank) {
-    return mem::RowAddr{p.channel, p.group_rank(grp, ranks), bank, p.subarray,
-                        p.group_row(grp, ranks)};
-  };
-  // Steps mirror plan_intra's shape so the cost model prices the executed
-  // ladder exactly like a scheduler-produced plan would be.
-  auto make_step = [&](StepKind kind, unsigned rows, bool writeback,
-                       unsigned attempt, std::vector<mem::RowAddr> reads) {
-    PlanStep st;
+  // Every step this activation really takes is a copy of the planned one
+  // with its rows, writeback and attempt changed, so the cost model prices
+  // the ladder exactly like the scheduler's own steps.
+  auto ladder_step = [&](StepKind kind, bool writeback, unsigned attempt,
+                         std::vector<mem::RowAddr> reads) {
+    PlanStep st = planned;
     st.kind = kind;
-    st.op = op;
-    st.rows = rows;
-    st.col_steps = cols;
-    st.bits = bits_g;
     st.writeback = writeback;
-    st.channel = dst.channel;
-    st.rank = dst.group_rank(grp, ranks);
-    st.subarray = dst.subarray;
-    st.row = dst.group_row(grp, ranks);
-    st.col_start = dst.col_stripe;
-    st.group = grp;
     st.attempt = attempt;
     st.reads = std::move(reads);
-    st.read_cols.assign(st.reads.size(), dst.col_stripe);
-    st.write = addr_of(dst, 0);
+    st.rows = static_cast<unsigned>(st.reads.size());
+    st.read_cols.assign(st.reads.size(), planned.col_start);
     return st;
   };
-  std::vector<mem::RowAddr> plan_reads;
-  plan_reads.reserve(operands.size());
-  for (const auto& p : operands) plan_reads.push_back(addr_of(p, 0));
+  auto dst_in = [&](unsigned bank) {
+    mem::RowAddr a = planned.write;
+    a.bank = bank;
+    return a;
+  };
+  auto sense_window = [&](const std::vector<mem::RowAddr>& rows) {
+    BitVector window(win_len);
+    copy_bits(window.words(), 0, mem_.sense_rows(rows, planned.op).words(),
+              win_lo, win_len);
+    return window;
+  };
 
   for (unsigned attempt = 0; attempt <= rel.retry.max_resense; ++attempt) {
     if (attempt > 0) ++relmgr_->counters().retries;
     // Sense every bank of the lock-step cluster; verify per the policy.
     std::vector<BitVector> sensed(g.banks_per_chip);
+    std::vector<mem::RowAddr> rows = planned.reads;
     unsigned bad = 0;
     for (unsigned b = 0; b < g.banks_per_chip; ++b) {
-      std::vector<mem::RowAddr> rows;
-      rows.reserve(operands.size());
-      for (const auto& p : operands) rows.push_back(addr_of(p, b));
-      BitVector window(win_len);
-      copy_bits(window.words(), 0, mem_.sense_rows(rows, op).words(), win_lo,
-                win_len);
+      for (auto& r : rows) r.bank = b;
+      BitVector window = sense_window(rows);
       bool ok_b = true;
-      if (rel.verify.sense == SenseVerify::kReadback) {
-        ok_b = window == relmgr_->expected_window(rows, op, win_lo, win_len);
-      } else if (rel.verify.sense == SenseVerify::kDouble) {
-        BitVector second(win_len);
-        copy_bits(second.words(), 0, mem_.sense_rows(rows, op).words(),
-                  win_lo, win_len);
-        ok_b = window == second;
-      }
-      if (!ok_b) ++bad;
+      if (rel.verify.sense == SenseVerify::kReadback)
+        ok_b = window ==
+               relmgr_->expected_window(rows, planned.op, win_lo, win_len);
+      else if (rel.verify.sense == SenseVerify::kDouble)
+        ok_b = window == sense_window(rows);
+      bad += ok_b ? 0 : 1;
       sensed[b] = std::move(window);
     }
     const bool ok = bad == 0;
@@ -330,26 +225,18 @@ bool PimRuntime::reliable_activation(BitOp op,
     // read-back verification is a digital fold at the global row buffer.
     if (rel.verify.sense == SenseVerify::kDouble)
       executed.steps.push_back(
-          make_step(StepKind::kIntraSub, k, false, attempt, plan_reads));
+          ladder_step(StepKind::kIntraSub, false, attempt, planned.reads));
     executed.steps.push_back(
-        make_step(StepKind::kIntraSub, k, ok, attempt, plan_reads));
+        ladder_step(StepKind::kIntraSub, ok, attempt, planned.reads));
     if (rel.verify.sense == SenseVerify::kReadback) {
       const unsigned vsteps = k > 1 ? k - 1 : 1;
       for (unsigned i = 0; i < vsteps; ++i) {
-        const std::size_t a = std::min<std::size_t>(i, plan_reads.size() - 1);
-        const std::size_t b =
-            std::min<std::size_t>(i + 1, plan_reads.size() - 1);
-        std::vector<mem::RowAddr> pr{plan_reads[a]};
-        if (b != a) pr.push_back(plan_reads[b]);
-        // Hoisted: argument evaluation order is unspecified, so reading
-        // pr.size() in the same call that moves pr yields 0 under gcc and
-        // the verify step loses its row count.
-        const auto nr = static_cast<unsigned>(pr.size());
-        executed.steps.push_back(
-            make_step(StepKind::kInterSub, nr, false, attempt, std::move(pr)));
+        std::vector<mem::RowAddr> pair{planned.reads[i]};
+        if (i + 1 < k) pair.push_back(planned.reads[i + 1]);
+        executed.steps.push_back(ladder_step(StepKind::kInterSub, false,
+                                             attempt, std::move(pair)));
       }
     }
-
     if (!ok) {
       relmgr_->counters().detected_faults += bad;
       continue;  // re-sense: a new epoch redraws the transient flips
@@ -357,31 +244,32 @@ bool PimRuntime::reliable_activation(BitOp op,
 
     // Commit through the verified write path (detects persistent faults in
     // the destination row and remaps them while the true result is known).
-    const std::uint64_t remaps_before = relmgr_->counters().remaps;
+    // Without a recovery manager nothing verifies, so this is the plain store.
+    const std::uint64_t remaps_before =
+        relmgr_ ? relmgr_->counters().remaps : 0;
     for (unsigned b = 0; b < g.banks_per_chip; ++b)
-      store_window(addr_of(dst, b), win_lo, sensed[b]);
+      store_window(dst_in(b), win_lo, sensed[b]);
+    if (!relmgr_) return true;
     if (rel.verify.writes != WriteVerify::kNone) {
-      PlanStep wv = make_step(
-          StepKind::kInterSub,
-          rel.verify.writes == WriteVerify::kReadback ? 2u : 1u, false,
-          attempt, {addr_of(dst, 0)});
-      if (rel.verify.writes == WriteVerify::kParity) {
+      PlanStep wv =
+          ladder_step(StepKind::kInterSub, false, attempt, {planned.write});
+      if (rel.verify.writes == WriteVerify::kReadback) {
+        wv.rows = 2;
+      } else {
         // Parity checks one packed parity word per 64 data words.
         wv.col_steps = 1;
-        wv.bits = std::max<std::uint64_t>(1, bits_g / 64);
+        wv.bits = std::max<std::uint64_t>(1, planned.bits / 64);
       }
       executed.steps.push_back(std::move(wv));
     }
-    // Each remap rewrote (and re-verified) a full rank-row in every bank.
+    // Each remap rewrote (and re-verified) a full rank-row in every bank:
+    // the step covers the whole row, not the planned column window.
     for (std::uint64_t i = remaps_before; i < relmgr_->counters().remaps;
          ++i) {
       PlanStep rm =
-          make_step(StepKind::kIntraSub, 1, true, attempt, {addr_of(dst, 0)});
+          ladder_step(StepKind::kIntraSub, true, attempt, {planned.write});
       rm.col_steps = g.sa_mux_share;
       rm.bits = g.row_group_bits();
-      // The remap rewrites the full rank-row, not dst's column stripe:
-      // make_step's window (col_start = col_stripe) would overflow the mux
-      // share and hide the step's true footprint from hazard analysis.
       rm.col_start = 0;
       rm.read_cols.assign(rm.reads.size(), 0);
       executed.steps.push_back(std::move(rm));
@@ -392,14 +280,17 @@ bool PimRuntime::reliable_activation(BitOp op,
   // Retries exhausted: de-escalate the activation (OR only — AND/XOR/INV
   // shapes are already minimal).  Halving re-enters the ladder per half at
   // a wider sense margin, accumulating into dst.
-  if (rel.retry.deescalate && op == BitOp::kOr && k > 2) {
+  if (rel.retry.deescalate && planned.op == BitOp::kOr && k > 2) {
     ++relmgr_->counters().deescalations;
-    const unsigned h = (k + 1) / 2;
-    const std::vector<Placement> first(operands.begin(), operands.begin() + h);
-    if (!reliable_activation(op, first, dst, grp, executed)) return false;
-    std::vector<Placement> rest{dst};  // accumulator holds the first half
-    rest.insert(rest.end(), operands.begin() + h, operands.end());
-    return reliable_activation(op, rest, dst, grp, executed);
+    const auto half = planned.reads.begin() + (k + 1) / 2;
+    std::vector<mem::RowAddr> rest{planned.write};  // holds the first half
+    rest.insert(rest.end(), half, planned.reads.end());
+    return activate(ladder_step(StepKind::kIntraSub, true, planned.attempt,
+                                {planned.reads.begin(), half}),
+                    executed) &&
+           activate(ladder_step(StepKind::kIntraSub, true, planned.attempt,
+                                std::move(rest)),
+                    executed);
   }
   return false;
 }
@@ -485,47 +376,11 @@ void PimRuntime::pim_op(BitOp op, const std::vector<Handle>& srcs, Handle dst,
   const Placement& dst_p = placement(dst);
 
   OpPlan plan = sched_.plan(op, src_p, dst_p, host_reads_result);
-  const bool intra = plan.count(StepKind::kIntraSub) > 0;
-
-  if (intra && relmgr_) {
-    // Analog path under the recovery ladder.  Snapshot dst-aliasing
-    // operands first: a partially-executed chain overwrites dst, and the
-    // CPU fallback must still see the original operand values.
-    std::vector<std::optional<BitVector>> snapshots(src_p.size());
-    if (opts_.reliability.retry.cpu_fallback) {
-      for (std::size_t i = 0; i < src_p.size(); ++i)
-        if (src_p[i].rows_overlap(dst_p)) snapshots[i] = gather(src_p[i]);
-    }
-    OpPlan executed;
-    executed.op = op;
-    executed.bits = dst_p.bits;
-    const bool ok = execute_intra_reliable(
-        op, src_p, dst_p, sched_.effective_max_rows(op), executed);
-    if (ok) {
-      // Reuse the scheduler's host-read tail on the executed plan.
-      for (auto& st : plan.steps)
-        if (st.kind == StepKind::kHostRead)
-          executed.steps.push_back(std::move(st));
-      submit(std::move(executed));
-    } else {
-      PIN_CHECK_MSG(opts_.reliability.retry.cpu_fallback,
-                    "recovery ladder exhausted for "
-                        << to_string(op)
-                        << " and retry.cpu_fallback is disabled");
-      submit(std::move(executed));  // the failed attempts still cost time
-      fallback_op(op, src_p, dst_p, snapshots, srcs, dst, host_reads_result);
-    }
-    sync_reliability();
-    return;
-  }
-
-  submit(std::move(plan));
 
   // Functional execution (eager even inside a batch: program order keeps
   // interleaved pim_write / pim_read semantics; only pricing defers).
-  if (intra) {
-    execute_intra(op, src_p, dst_p, sched_.effective_max_rows(op));
-  } else {
+  if (plan.count(StepKind::kIntraSub) == 0) {
+    submit(std::move(plan));
     // Buffer paths compute exactly in digital logic.
     std::vector<BitVector> operands;
     operands.reserve(src_p.size());
@@ -534,7 +389,36 @@ void PimRuntime::pim_op(BitOp op, const std::vector<Handle>& srcs, Handle dst,
     for (const auto& v : operands) ptrs.push_back(&v);
     scatter(dst_p, BitVector::reduce(op, ptrs));
     sync_reliability();  // scatter may have detected write faults
+    return;
   }
+
+  // Intra-subarray: run the planned activations in order and submit the
+  // steps they really took.  Snapshot dst-aliasing operands first: a
+  // partially-executed chain overwrites dst, and the CPU fallback must
+  // still see the original operand values.
+  std::vector<std::optional<BitVector>> snapshots(src_p.size());
+  if (relmgr_ && opts_.reliability.retry.cpu_fallback) {
+    for (std::size_t i = 0; i < src_p.size(); ++i)
+      if (src_p[i].rows_overlap(dst_p)) snapshots[i] = gather(src_p[i]);
+  }
+  OpPlan executed;
+  executed.op = op;
+  executed.bits = plan.bits;
+  bool ok = true;
+  for (const PlanStep& st : plan.steps) {
+    if (st.kind == StepKind::kIntraSub)
+      ok = activate(st, executed);
+    else
+      executed.steps.push_back(st);  // the host-read tail
+    if (!ok) break;
+  }
+  PIN_CHECK_MSG(ok || opts_.reliability.retry.cpu_fallback,
+                "recovery ladder exhausted for "
+                    << to_string(op) << " and retry.cpu_fallback is disabled");
+  submit(std::move(executed));  // failed attempts still cost time
+  if (!ok)
+    fallback_op(op, src_p, dst_p, snapshots, srcs, dst, host_reads_result);
+  sync_reliability();
 }
 
 void PimRuntime::fallback_op(BitOp op, const std::vector<Placement>& src_p,

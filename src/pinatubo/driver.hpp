@@ -11,7 +11,9 @@
 // This runtime is FUNCTIONAL and COSTED at once: every pim_op
 //   1. is lowered by the scheduler into an execution plan,
 //   2. is executed against the simulated NVM array *through the sensing
-//      models* (multi-row activation really combines the stored rows), and
+//      models* (multi-row activation really combines the stored rows) —
+//      the intra-subarray steps run exactly as planned, so what executes
+//      is what is priced — and
 //   3. accrues the plan's time/energy and optionally the lowered DDR
 //      command stream.
 // Examples use it as the library a real system would ship; tests assert
@@ -184,25 +186,20 @@ class PimRuntime {
     std::size_t bit;
   };
   RowBit locate(const Placement& p, std::uint64_t in_group_offset) const;
-  /// Executes an intra-subarray chained sense per the plan semantics.
-  void execute_intra(BitOp op, const std::vector<Placement>& srcs,
-                     const Placement& dst, unsigned max_rows);
   /// Routes a write through the recovery manager when one is attached
   /// (verify-after-write + remap); plain store otherwise.
   void store_row(const mem::RowAddr& addr, const BitVector& data);
   void store_window(const mem::RowAddr& addr, std::size_t bit_offset,
                     const BitVector& data);
-  /// Reliable variant of execute_intra: every activation runs the
-  /// verify/retry/de-escalate ladder and appends the steps it actually
-  /// took (failed attempts included) to `executed`.  Returns false when
-  /// the ladder is exhausted and the op must fall back to the CPU.
-  bool execute_intra_reliable(BitOp op, const std::vector<Placement>& srcs,
-                              const Placement& dst, unsigned max_rows,
-                              OpPlan& executed);
-  /// One logical activation (all banks, lock-step) under the ladder.
-  bool reliable_activation(BitOp op, const std::vector<Placement>& operands,
-                           const Placement& dst, std::uint64_t grp,
-                           OpPlan& executed);
+  /// Executes one planned intra-subarray activation in every bank of its
+  /// lock-step cluster: senses `planned.reads` and writes the window
+  /// [col_start, col_start + col_steps) at `planned.write`.  With a
+  /// recovery manager the activation runs the verify/retry/de-escalate
+  /// ladder; without one it is a single unverified attempt.  Appends the
+  /// steps actually taken (failed attempts included) to `executed`.
+  /// Returns false when the ladder is exhausted and the op must fall back
+  /// to the CPU.
+  bool activate(const PlanStep& planned, OpPlan& executed);
   /// Final rung: compute the op on the (priced) CPU path, never wrong.
   void fallback_op(BitOp op, const std::vector<Placement>& src_p,
                    const Placement& dst_p,

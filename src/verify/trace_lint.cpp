@@ -1,6 +1,7 @@
 #include "verify/trace_lint.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -155,6 +156,8 @@ class JsonParser {
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20)
+        return fail("unescaped control character in string");
       if (c != '\\') {
         out += c;
         continue;
@@ -172,6 +175,9 @@ class JsonParser {
         case 'f': out += '\f'; break;
         case 'u': {
           if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
+          for (std::size_t i = pos_; i < pos_ + 4; ++i)
+            if (std::isxdigit(static_cast<unsigned char>(text_[i])) == 0)
+              return fail("bad \\u escape");
           const unsigned long cp =
               std::strtoul(text_.substr(pos_, 4).c_str(), nullptr, 16);
           pos_ += 4;
@@ -187,13 +193,38 @@ class JsonParser {
     return fail("unterminated string");
   }
 
+  bool at(char c) const { return pos_ < text_.size() && text_[pos_] == c; }
+
+  bool digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0)
+      ++pos_;
+    return pos_ > from;
+  }
+
+  // JSON's grammar, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, is checked
+  // before strtod converts: strtod alone also takes inf, nan, hex floats, a
+  // leading '+' and a bare '.5' or '1.', none of which is JSON.
   bool number(JValue& out) {
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    out.number = std::strtod(begin, &end);
-    if (end == begin) return fail("expected a value");
+    const std::size_t start = pos_;
+    if (at('-')) ++pos_;
+    if (at('0'))
+      ++pos_;
+    else if (!digits())
+      return fail("expected a value");
+    if (at('.')) {
+      ++pos_;
+      if (!digits()) return fail("expected digits after '.'");
+    }
+    if (at('e') || at('E')) {
+      ++pos_;
+      if (at('+') || at('-')) ++pos_;
+      if (!digits()) return fail("expected exponent digits");
+    }
+    out.number =
+        std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
     out.kind = JValue::Kind::kNumber;
-    pos_ += static_cast<std::size_t>(end - begin);
     return true;
   }
 

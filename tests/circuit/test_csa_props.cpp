@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "circuit/csa.hpp"
 #include "nvm/cell.hpp"
@@ -18,7 +19,6 @@ TEST_P(CsaAgreement, TransientMatchesBehavioural) {
   const auto [tech, n] = GetParam();
   const auto& cell = nvm::cell_params(tech);
   const CsaModel csa;
-  if (!csa.supports(BitOp::kOr, n, cell)) GTEST_SKIP();
   const auto ref = op_reference(cell, BitOp::kOr, n);
   const nvm::BitlineModel bl(cell);
 
@@ -40,12 +40,21 @@ TEST_P(CsaAgreement, TransientMatchesBehavioural) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    TechAndRows, CsaAgreement,
-    ::testing::Combine(::testing::Values(nvm::Tech::kPcm,
-                                         nvm::Tech::kSttMram,
-                                         nvm::Tech::kReRam),
-                       ::testing::Values(2u, 4u, 16u, 64u, 128u)));
+/// The (technology, rows) OR shapes the CSA can sense at all; the others
+/// have no reference to agree with.
+std::vector<std::tuple<nvm::Tech, unsigned>> supported_shapes() {
+  const CsaModel csa;
+  std::vector<std::tuple<nvm::Tech, unsigned>> out;
+  for (const auto tech :
+       {nvm::Tech::kPcm, nvm::Tech::kSttMram, nvm::Tech::kReRam})
+    for (const unsigned n : {2u, 4u, 16u, 64u, 128u})
+      if (csa.supports(BitOp::kOr, n, nvm::cell_params(tech)))
+        out.emplace_back(tech, n);
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(TechAndRows, CsaAgreement,
+                         ::testing::ValuesIn(supported_shapes()));
 
 TEST(CsaResolveTime, ScalesWithConfiguredPhases) {
   CsaConfig slow;

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "json_check.hpp"
+#include "verify/trace_lint.hpp"
 
 namespace pinatubo::obs {
 namespace {
 
-using pinatubo::testing::JsonChecker;
+/// Whether the exported text parses as JSON (the lint's T01 rule; the other
+/// T-rules judge trace content these hand-built sessions do not model).
+bool parses(const std::string& json) {
+  return !verify::lint_trace_text(json).tripped(verify::Rule::kTraceParse);
+}
 
 TEST(Metrics, CountersAccumulate) {
   MetricsRegistry m;
@@ -69,7 +73,7 @@ TEST(TraceSession, ChromeJsonIsValidAndComplete) {
   s.span("weird \"name\"\n\t\\", 260.0, 5.0, rank);
   s.count("pim.batches");
   const std::string json = s.to_chrome_json();
-  EXPECT_TRUE(JsonChecker::valid(json)) << json;
+  EXPECT_TRUE(parses(json)) << json;
   // Required Chrome trace-event pieces.
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -85,18 +89,38 @@ TEST(TraceSession, ChromeJsonIsValidAndComplete) {
 
 TEST(TraceSession, EmptySessionStillSerializes) {
   const TraceSession s(true);
-  EXPECT_TRUE(JsonChecker::valid(s.to_chrome_json()));
+  EXPECT_TRUE(parses(s.to_chrome_json()));
 }
 
+// The JSON checker these tests lean on (the lint's reader) must accept any
+// well-formed value and reject syntax errors.  Each candidate is planted as a
+// field of an otherwise valid trace, followed by a sibling field so a
+// truncated candidate cannot be rebalanced by the wrapper's closing braces.
 TEST(JsonCheckerSelfTest, AcceptsAndRejects) {
-  EXPECT_TRUE(JsonChecker::valid("{}"));
-  EXPECT_TRUE(JsonChecker::valid("{\"a\":[1,2.5,-3e-2,\"x\",true,null]}"));
-  EXPECT_FALSE(JsonChecker::valid("{"));
-  EXPECT_FALSE(JsonChecker::valid("{\"a\":}"));
-  EXPECT_FALSE(JsonChecker::valid("{\"a\":1,}"));
-  EXPECT_FALSE(JsonChecker::valid("[1 2]"));
-  EXPECT_FALSE(JsonChecker::valid("\"unterminated"));
-  EXPECT_FALSE(JsonChecker::valid("{} trailing"));
+  auto valid = [](const std::string& value) {
+    return parses("{\"traceEvents\":[],\"otherData\":{\"max_span_end_ns\":0,"
+                  "\"x\":" + value + ",\"y\":0}}");
+  };
+  EXPECT_TRUE(valid("{}"));
+  EXPECT_TRUE(valid("{\"a\":[1,2.5,-3e-2,\"x\",true,null]}"));
+  EXPECT_FALSE(valid("{"));
+  EXPECT_FALSE(valid("{\"a\":}"));
+  EXPECT_FALSE(valid("{\"a\":1,}"));
+  EXPECT_FALSE(valid("[1 2]"));
+  EXPECT_FALSE(valid("\"unterminated"));
+  EXPECT_FALSE(valid("{} trailing"));
+  // Numbers follow JSON's grammar, not strtod's.
+  EXPECT_TRUE(valid("[0,-0.5,1E+3,2e-0]"));
+  EXPECT_FALSE(valid("inf"));
+  EXPECT_FALSE(valid("-nan"));
+  EXPECT_FALSE(valid("+1"));
+  EXPECT_FALSE(valid(".5"));
+  EXPECT_FALSE(valid("1."));
+  EXPECT_FALSE(valid("0x1p3"));
+  EXPECT_FALSE(valid("1e"));
+  // \u takes exactly four hex digits.
+  EXPECT_TRUE(valid("\"\\u0041\""));
+  EXPECT_FALSE(valid("\"\\uzz00\""));
 }
 
 }  // namespace

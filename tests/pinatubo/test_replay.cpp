@@ -137,6 +137,35 @@ TEST_F(ReplayTest, SttDemotedAndReplays) {
       recording(nvm::Tech::kSttMram));
 }
 
+TEST_F(ReplayTest, RaggedTailWritesOnlyPricedStripes) {
+  // Executed = priced: the ragged last group of a multi-group vector has
+  // fewer sensing steps than the placement's stripes, and the runtime must
+  // write exactly those stripes — no more cells than the replayed command
+  // stream writes.  A 2-row cap chains the 3-operand OR.
+  auto opts = recording();
+  opts.max_rows = 2;
+  const std::uint64_t bits = (1ull << 20) + 777;
+  PimRuntime live(mem::Geometry{}, opts);
+  PimRuntime twin(mem::Geometry{}, opts);
+  Rng rng(99);
+  std::vector<PimRuntime::Handle> lh, th;
+  for (int i = 0; i < 4; ++i) {
+    const auto v = BitVector::random(bits, 0.4, rng);
+    lh.push_back(live.pim_malloc(bits));
+    th.push_back(twin.pim_malloc(bits));
+    live.pim_write(lh.back(), v);
+    twin.pim_write(th.back(), v);
+  }
+  const std::uint64_t live_before = live.memory().wear().total_cell_writes();
+  const std::uint64_t twin_before = twin.memory().wear().total_cell_writes();
+  live.pim_op(BitOp::kOr, {lh[0], lh[1], lh[2]}, lh[3]);
+  CommandReplayer replayer(twin.memory());
+  replayer.execute_all(live.commands());
+  EXPECT_EQ(twin.pim_read(th[3]), live.pim_read(lh[3]));
+  EXPECT_EQ(live.memory().wear().total_cell_writes() - live_before,
+            twin.memory().wear().total_cell_writes() - twin_before);
+}
+
 TEST(ReplayProtocol, ViolationsThrow) {
   mem::MainMemory memory({}, nvm::Tech::kPcm);
   CommandReplayer rp(memory);

@@ -74,6 +74,33 @@ TEST(TraceLint, MalformedJsonTripsT01) {
   }
   const Report rep = lint_trace_file("/nonexistent/trace.json");
   EXPECT_TRUE(rep.tripped(Rule::kTraceParse));
+
+  // Syntax errors planted in a real exported trace, which lints clean as
+  // is: T01 must fire on the syntax, not on a missing schema.
+  core::PimRuntime pim;
+  const std::string json = runtime_trace_json(pim);
+  ASSERT_TRUE(lint_trace_text(json).ok());
+  const std::size_t close = json.rfind('}');
+  auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string out = json;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return out.replace(at, from.size(), to);
+  };
+  const std::string unit = "\"displayTimeUnit\":";
+  const std::string broken[] = {
+      json.substr(0, close) + ",}",           // trailing comma
+      json + " trailing",                     // trailing garbage
+      json.substr(0, json.rfind('"')),        // unterminated string
+      replaced(unit + "\"ns\"", unit),        // missing value
+      replaced("},{", "} {"),                 // missing comma
+      replaced("ch0/rank0", "ch0/\nrank0"),   // raw control character
+  };
+  for (const std::string& bad : broken) {
+    const std::size_t tail = bad.size() > 40 ? bad.size() - 40 : 0;
+    EXPECT_TRUE(lint_trace_text(bad).tripped(Rule::kTraceParse))
+        << "input tail: " << bad.substr(tail);
+  }
 }
 
 TEST(TraceLint, TruncatedRealTraceTripsT01) {
