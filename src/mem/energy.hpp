@@ -17,7 +17,6 @@ class EnergyCounter {
   void merge(const EnergyCounter& other);
   double total_pj() const;
   double get(const std::string& component) const;  ///< 0 if absent
-  const std::map<std::string, double>& components() const { return parts_; }
   std::string to_string() const;
 
  private:

@@ -1,5 +1,6 @@
 #include "sim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/error.hpp"
@@ -64,6 +65,12 @@ void CacheLevel::reset_stats() {
   misses_ = 0;
 }
 
+void CacheLevel::clear() {
+  std::fill(ways_.begin(), ways_.end(), Way{});
+  tick_ = 0;
+  reset_stats();
+}
+
 CacheHierarchy::CacheHierarchy(std::vector<CacheLevelConfig> levels) {
   PIN_CHECK(!levels.empty());
   for (const auto& cfg : levels) levels_.emplace_back(cfg);
@@ -109,11 +116,7 @@ void CacheHierarchy::reset_stats() {
 }
 
 void CacheHierarchy::flush() {
-  std::vector<CacheLevelConfig> cfgs;
-  cfgs.reserve(levels_.size());
-  for (const auto& l : levels_) cfgs.push_back(l.config());
-  levels_.clear();
-  for (const auto& cfg : cfgs) levels_.emplace_back(cfg);
+  for (auto& l : levels_) l.clear();
   reset_stats();
 }
 

@@ -36,6 +36,8 @@ class CacheLevel {
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   void reset_stats();
+  /// Drops all cached contents and stats, keeping the storage.
+  void clear();
 
  private:
   struct Way {

@@ -39,8 +39,7 @@ MemStreamParams stream_params(MemKind kind) {
 }
 
 SimdCpuModel::SimdCpuModel(const CpuConfig& cfg, MemKind mem)
-    : cfg_(cfg), mem_(mem), mem_params_(stream_params(mem)),
-      cache_(haswell_cache_config()) {
+    : cfg_(cfg), mem_(mem), mem_params_(stream_params(mem)) {
   PIN_CHECK(cfg.cores >= 1);
   PIN_CHECK(cfg.bulk_cores >= 1 && cfg.bulk_cores <= cfg.cores);
   PIN_CHECK(cfg.freq_ghz > 0);
@@ -56,7 +55,9 @@ double SimdCpuModel::compute_gbps() const {
 mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
   PIN_CHECK(!op.srcs.empty());
   PIN_CHECK(op.bits > 0);
-  const std::uint64_t line = cache_.line_bytes();
+  if (!cache_) cache_.emplace(haswell_cache_config());
+  CacheHierarchy& cache = *cache_;
+  const std::uint64_t line = cache.line_bytes();
   // Word-aligned footprint: the host kernels (BitVector) process whole
   // 64-bit words, so the baseline is charged for the same word count the
   // PIM functional layer touches.  Identical to (bits+7)/8 for the word-
@@ -70,22 +71,22 @@ mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
   if (accesses > kDirectPathAccesses) {
     // Streaming: every source line comes from memory, every dst line is
     // write-allocated and eventually written back.
-    std::vector<std::uint64_t> served(cache_.levels() + 1, 0);
-    served[cache_.levels()] = accesses;
+    std::vector<std::uint64_t> served(cache.levels() + 1, 0);
+    served[cache.levels()] = accesses;
     return price(processed, served, lines * op.srcs.size() + lines, lines);
   }
 
-  cache_.reset_stats();
+  cache.reset_stats();
   for (std::uint64_t i = 0; i < lines; ++i) {
     for (const auto src : op.srcs)
-      cache_.access(vector_base(src, bytes) + i * line, false);
-    cache_.access(vector_base(op.dst, bytes) + i * line, true);
+      cache.access(vector_base(src, bytes) + i * line, false);
+    cache.access(vector_base(op.dst, bytes) + i * line, true);
   }
   // Dirty dst lines that will eventually be written back: approximate as
   // the dst lines that missed everywhere (streaming stores); cached dst
   // lines get rewritten in place.
-  const auto served = cache_.served_lines();
-  const std::uint64_t mem_lines = cache_.memory_lines();
+  const auto served = cache.served_lines();
+  const std::uint64_t mem_lines = cache.memory_lines();
   // Split memory traffic: dst allocations among the misses cause
   // writebacks; assume misses distribute evenly across streams.
   const std::uint64_t wb_lines = mem_lines / n_streams;
@@ -96,11 +97,12 @@ mem::Cost SimdCpuModel::price(std::uint64_t processed_bytes,
                               const std::vector<std::uint64_t>& served_lines,
                               std::uint64_t mem_read_lines,
                               std::uint64_t mem_write_lines) const {
-  const double line = cache_.line_bytes();
+  const CacheHierarchy& cache = *cache_;  // built by bulk_op, the only caller
+  const double line = cache.line_bytes();
   double t = static_cast<double>(processed_bytes) / compute_gbps();
   mem::EnergyCounter energy;
-  for (unsigned l = 0; l < cache_.levels(); ++l) {
-    const auto& cfg = cache_.level(l).config();
+  for (unsigned l = 0; l < cache.levels(); ++l) {
+    const auto& cfg = cache.level(l).config();
     const double bytes = static_cast<double>(served_lines[l]) * line;
     t = std::max(t, bytes / cfg.bandwidth_gbps);
     energy.add("cpu." + cfg.name,
@@ -141,6 +143,8 @@ mem::Cost SimdCpuModel::scalar(std::uint64_t ops, std::uint64_t bytes) const {
   return cost;
 }
 
-void SimdCpuModel::reset() { cache_.flush(); }
+void SimdCpuModel::reset() {
+  if (cache_) cache_->flush();
+}
 
 }  // namespace pinatubo::sim

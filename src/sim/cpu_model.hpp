@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "mem/energy.hpp"
 #include "sim/backend.hpp"
@@ -89,7 +90,9 @@ class SimdCpuModel {
   CpuConfig cfg_;
   MemKind mem_;
   MemStreamParams mem_params_;
-  CacheHierarchy cache_;
+  /// Built by the first bulk op: scalar() never walks the caches, so a
+  /// model that only prices scalar work skips the ~2.4 MB Haswell tag store.
+  std::optional<CacheHierarchy> cache_;
 };
 
 }  // namespace pinatubo::sim

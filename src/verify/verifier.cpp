@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "nvm/technology.hpp"
@@ -21,6 +22,9 @@ using core::StepKind;
 /// guaranteed, but anything past ~1e-9 relative is a real timing-model bug
 /// (the fixed-point trace exporters round at 0.1 ns, far coarser).
 double slack(double expected) { return 1e-9 * (1.0 + std::abs(expected)); }
+
+/// Marks a plan step no schedule entry has claimed yet.
+constexpr std::size_t kUnplaced = static_cast<std::size_t>(-1);
 
 bool near(double got, double expected) {
   return std::abs(got - expected) <= slack(expected);
@@ -52,21 +56,24 @@ Verifier::Verifier(const core::PinatuboCostModel& model, unsigned max_rows_cap)
 
 Report Verifier::check(const OpPlan& plan) const {
   Report rep;
+  std::vector<mem::Command> cmds;
   for (std::size_t i = 0; i < plan.steps.size(); ++i)
-    check_step(0, i, plan.steps[i], rep);
+    check_step(0, i, plan.steps[i], cmds, rep);
   return rep;
 }
 
 Report Verifier::check(const std::vector<OpPlan>& plans) const {
   Report rep;
+  std::vector<mem::Command> cmds;
   for (std::size_t p = 0; p < plans.size(); ++p)
     for (std::size_t i = 0; i < plans[p].steps.size(); ++i)
-      check_step(p, i, plans[p].steps[i], rep);
+      check_step(p, i, plans[p].steps[i], cmds, rep);
   return rep;
 }
 
 void Verifier::check_step(std::size_t plan, std::size_t step,
-                          const PlanStep& s, Report& rep) const {
+                          const PlanStep& s, std::vector<mem::Command>& cmds,
+                          Report& rep) const {
   const mem::Geometry& g = model_->geometry();
   const std::size_t before = rep.diags.size();
   auto add = [&](Rule r, const std::string& msg) {
@@ -205,7 +212,7 @@ void Verifier::check_step(std::size_t plan, std::size_t step,
   // column window and row lists); structural violations above already
   // explain anything it would find.
   if (rep.diags.size() == before) {
-    std::vector<mem::Command> cmds;
+    cmds.clear();
     model_->lower_step(s, cmds);
     command_automaton(cmds, plan, step, rep);
   }
@@ -230,13 +237,16 @@ void Verifier::command_automaton(const std::vector<mem::Command>& cmds,
   const mem::Geometry& g = model_->geometry();
   St st = St::kIdle;
   unsigned acts = 0, loads = 0;
-  auto add = [&](const Rule r, const std::string& m) {
-    rep.add(r, plan, step, m);
-  };
   for (std::size_t i = 0; i < cmds.size(); ++i) {
     const mem::Command& c = cmds[i];
-    std::ostringstream at;
-    at << "command " << i << " (" << mem::to_string(c.kind) << "): ";
+    // Almost every command passes: the "command i (KIND): " prefix is only
+    // formatted once a rule fires.
+    auto add = [&](const Rule r, std::string_view what) {
+      std::string m = "command " + std::to_string(i) + " (" +
+                      mem::to_string(c.kind) + "): ";
+      m += what;
+      rep.add(r, plan, step, std::move(m));
+    };
     switch (c.kind) {
       case mem::CmdKind::kModeSet:
         st = St::kArmed;
@@ -245,54 +255,51 @@ void Verifier::command_automaton(const std::vector<mem::Command>& cmds,
       case mem::CmdKind::kPimReset:
         if (st != St::kArmed)
           add(Rule::kBadCommandOrder,
-              at.str() + "wordline reset without a preceding mode-set");
+              "wordline reset without a preceding mode-set");
         st = St::kLatching;
         acts = 0;
         break;
       case mem::CmdKind::kAct:
         if (st != St::kLatching)
           add(Rule::kBadCommandOrder,
-              at.str() + "activate outside a reset multi-ACT window");
+              "activate outside a reset multi-ACT window");
         else if (++acts > g.rows_per_subarray)
           add(Rule::kActivationOverflow,
-              at.str() + "more ACTs than LWL driver latches (" +
+              "more ACTs than LWL driver latches (" +
                   std::to_string(g.rows_per_subarray) + ")");
         break;
       case mem::CmdKind::kPimSense:
         if (!(st == St::kSensing || (st == St::kLatching && acts >= 1)))
-          add(Rule::kBadCommandOrder,
-              at.str() + "sense with no activated rows");
+          add(Rule::kBadCommandOrder, "sense with no activated rows");
         st = St::kSensing;
         break;
       case mem::CmdKind::kPimWriteback:
         if (st != St::kSensing && st != St::kOped)
           add(Rule::kWriteBypassNoSense,
-              at.str() +
-                  "write-driver bypass without a sense or buffer op result");
+              "write-driver bypass without a sense or buffer op result");
         st = St::kIdle;
         break;
       case mem::CmdKind::kPimLoad:
         if (st != St::kArmed && st != St::kLoading)
           add(Rule::kBadCommandOrder,
-              at.str() + "buffer load without a preceding mode-set");
+              "buffer load without a preceding mode-set");
         else if (++loads > 2)
           add(Rule::kBadCommandOrder,
-              at.str() + "more loads than buffer operand slots (2)");
+              "more loads than buffer operand slots (2)");
         st = St::kLoading;
         break;
       case mem::CmdKind::kPimGdlOp:
       case mem::CmdKind::kPimIoOp:
         if (st != St::kLoading || loads < 1)
           add(Rule::kBadCommandOrder,
-              at.str() + "buffer logic op with no loaded operands");
+              "buffer logic op with no loaded operands");
         st = St::kOped;
         break;
       case mem::CmdKind::kRead:
         break;  // host column bursts are plain DDR, legal anywhere
       case mem::CmdKind::kWrite:
       case mem::CmdKind::kPrecharge:
-        add(Rule::kBadCommandOrder,
-            at.str() + "not part of a lowered PIM sequence");
+        add(Rule::kBadCommandOrder, "not part of a lowered PIM sequence");
         break;
     }
   }
@@ -309,14 +316,16 @@ Report Verifier::check(const std::vector<OpPlan>& plans,
                        bool serial) const {
   Report rep = check(plans);
   if (!rep.ok()) return rep;
-  hazard_resource_pass(plans, result, rep);
-  reconcile_pass(plans, result, serial, rep);
+  std::vector<StepPrice> priced;
+  hazard_resource_pass(plans, result, priced, rep);
+  reconcile_pass(plans, result, priced, serial, rep);
   return rep;
 }
 
 void Verifier::hazard_resource_pass(
     const std::vector<OpPlan>& plans,
-    const core::ExecutionEngine::Result& result, Report& rep) const {
+    const core::ExecutionEngine::Result& result,
+    std::vector<StepPrice>& priced, Report& rep) const {
   using Sched = core::ExecutionEngine::ScheduledStep;
   auto msg = [](auto&&... parts) {
     std::ostringstream os;
@@ -329,13 +338,14 @@ void Verifier::hazard_resource_pass(
   for (std::size_t p = 0; p < plans.size(); ++p)
     offset[p + 1] = offset[p] + plans[p].steps.size();
   const std::size_t total = offset.back();
-  std::vector<const Sched*> placed(total, nullptr);
+  std::vector<std::size_t> placed(total, kUnplaced);
   bool structural_ok = result.schedule.size() == total;
   if (!structural_ok)
     rep.add(Rule::kScheduleShape, Diagnostic::kNoIndex, Diagnostic::kNoIndex,
             msg("schedule has ", result.schedule.size(), " entries for ",
                 total, " plan steps"));
-  for (const Sched& ss : result.schedule) {
+  for (std::size_t j = 0; j < result.schedule.size(); ++j) {
+    const Sched& ss = result.schedule[j];
     if (ss.plan >= plans.size() || ss.step >= plans[ss.plan].steps.size()) {
       rep.add(Rule::kScheduleShape, ss.plan, ss.step,
               "schedule entry out of range");
@@ -343,41 +353,46 @@ void Verifier::hazard_resource_pass(
       continue;
     }
     const std::size_t idx = offset[ss.plan] + ss.step;
-    if (placed[idx] != nullptr) {
+    if (placed[idx] != kUnplaced) {
       rep.add(Rule::kScheduleShape, ss.plan, ss.step,
               "step scheduled more than once");
       structural_ok = false;
       continue;
     }
-    placed[idx] = &ss;
+    placed[idx] = j;
   }
   if (!structural_ok) return;  // per-node times are not well-defined
+  auto at = [&](std::size_t idx) -> const Sched& {
+    return result.schedule[placed[idx]];
+  };
 
-  // Price every step once; H01 time checks + the resource bookkeeping
-  // below all reuse these.
-  std::vector<double> cost_ns(total);
-  for (std::size_t p = 0; p < plans.size(); ++p)
-    for (std::size_t i = 0; i < plans[p].steps.size(); ++i)
-      cost_ns[offset[p] + i] =
-          model_->step_cost(plans[p].steps[i]).time_ns;
+  // Price every step once, from the model, in schedule order: the H01 time
+  // checks below and the reconciliation sums all reuse these.
+  priced.resize(total);
+  for (std::size_t j = 0; j < total; ++j) {
+    const Sched& ss = result.schedule[j];
+    const mem::Cost c = model_->step_cost(plans[ss.plan].steps[ss.step]);
+    priced[j] = {c.time_ns, c.energy.total_pj()};
+  }
 
   for (std::size_t idx = 0; idx < total; ++idx) {
-    const Sched& ss = *placed[idx];
+    const Sched& ss = at(idx);
+    const double cost_ns = priced[placed[idx]].time_ns;
     const PlanStep& s = plans[ss.plan].steps[ss.step];
     if (ss.start_ns < -slack(0.0) || ss.done_ns < ss.start_ns - slack(0.0))
       rep.add(Rule::kScheduleShape, ss.plan, ss.step,
               msg("negative or inverted window [", ss.start_ns, ", ",
                   ss.done_ns, "]"));
-    if (!near(ss.done_ns - ss.start_ns, cost_ns[idx]))
+    if (!near(ss.done_ns - ss.start_ns, cost_ns))
       rep.add(Rule::kScheduleShape, ss.plan, ss.step,
               msg("scheduled duration ", ss.done_ns - ss.start_ns,
-                  " ns != step cost ", cost_ns[idx], " ns"));
+                  " ns != step cost ", cost_ns, " ns"));
     const std::uint64_t bytes = model_->step_bus_bytes(s);
     const double burst =
         bytes == 0 ? 0.0
                    : std::min(static_cast<double>(bytes) /
                                   model_->bus().data_gbps,
-                              cost_ns[idx]);
+                              cost_ns);
     if (!near(ss.bus_ns, burst))
       rep.add(Rule::kScheduleShape, ss.plan, ss.step,
               msg("bus burst ", ss.bus_ns, " ns != ", burst,
@@ -397,13 +412,12 @@ void Verifier::hazard_resource_pass(
       auto needs = [&](std::size_t d, const char* hazard,
                        const mem::RowAddr& row) {
         if (d == idx) return;
-        if (placed[idx]->start_ns <
-            placed[d]->done_ns - slack(placed[d]->done_ns))
+        if (at(idx).start_ns < at(d).done_ns - slack(at(d).done_ns))
           rep.add(Rule::kHazardViolated, p, i,
                   msg(hazard, " hazard on ", addr_str(row), ": starts at ",
-                      placed[idx]->start_ns, " ns before plan ",
-                      placed[d]->plan, " step ", placed[d]->step,
-                      " completes at ", placed[d]->done_ns, " ns"));
+                      at(idx).start_ns, " ns before plan ", at(d).plan,
+                      " step ", at(d).step, " completes at ", at(d).done_ns,
+                      " ns"));
       };
       for (const mem::RowAddr& r : s.reads) {
         const auto it = last_writer.find(row_key(r));
@@ -437,7 +451,7 @@ void Verifier::hazard_resource_pass(
   };
   std::unordered_map<std::uint64_t, std::vector<Window>> rank_busy, bus_busy;
   for (std::size_t idx = 0; idx < total; ++idx) {
-    const Sched& ss = *placed[idx];
+    const Sched& ss = at(idx);
     const PlanStep& s = plans[ss.plan].steps[ss.step];
     const std::uint64_t rk =
         (static_cast<std::uint64_t>(s.channel) << 32) | s.rank;
@@ -458,8 +472,8 @@ void Verifier::hazard_resource_pass(
         const Window& prev = wins[i - 1];
         const Window& cur = wins[i];
         if (cur.start < prev.end - slack(prev.end)) {
-          const Sched& ss = *placed[cur.idx];
-          const Sched& ps = *placed[prev.idx];
+          const Sched& ss = at(cur.idx);
+          const Sched& ps = at(prev.idx);
           rep.add(rule, ss.plan, ss.step,
                   msg(what, " window [", cur.start, ", ", cur.end,
                       ") overlaps plan ", ps.plan, " step ", ps.step, " [",
@@ -474,6 +488,7 @@ void Verifier::hazard_resource_pass(
 
 void Verifier::reconcile_pass(const std::vector<OpPlan>& plans,
                               const core::ExecutionEngine::Result& result,
+                              const std::vector<StepPrice>& priced,
                               bool serial, Report& rep) const {
   if (rep.tripped(Rule::kScheduleShape)) return;  // sums are meaningless
   auto msg = [](auto&&... parts) {
@@ -487,14 +502,15 @@ void Verifier::reconcile_pass(const std::vector<OpPlan>& plans,
   std::uint64_t steps_by_class[core::kStepKindCount] = {};
   double energy_pj = 0.0, serial_sum = 0.0, max_done = 0.0;
   std::uint64_t bus_bytes = 0;
-  for (const auto& ss : result.schedule) {
+  for (std::size_t j = 0; j < result.schedule.size(); ++j) {
+    const auto& ss = result.schedule[j];
     const PlanStep& s = plans[ss.plan].steps[ss.step];
     const std::size_t k = core::step_index(s.kind);
     time_by_class[k] += ss.done_ns - ss.start_ns;
     ++steps_by_class[k];
     serial_sum += ss.done_ns - ss.start_ns;
     max_done = std::max(max_done, ss.done_ns);
-    energy_pj += model_->step_cost(s).energy.total_pj();
+    energy_pj += priced[j].energy_pj;
     bus_bytes += model_->step_bus_bytes(s);
   }
 

@@ -80,17 +80,29 @@ class Verifier {
   unsigned max_rows_cap() const { return max_rows_cap_; }
 
  private:
+  /// One scheduled step priced from the model (never from the engine).
+  struct StepPrice {
+    double time_ns = 0.0;
+    double energy_pj = 0.0;
+  };
+
+  /// `cmds` is scratch space for the step's lowered commands, reused
+  /// across steps.
   void check_step(std::size_t plan, std::size_t step,
-                  const core::PlanStep& s, Report& rep) const;
+                  const core::PlanStep& s, std::vector<mem::Command>& cmds,
+                  Report& rep) const;
   void command_automaton(const std::vector<mem::Command>& cmds,
                          std::size_t plan, std::size_t step,
                          Report& rep) const;
+  /// Fills `priced` (schedule order) when the schedule is well formed.
   void hazard_resource_pass(const std::vector<core::OpPlan>& plans,
                             const core::ExecutionEngine::Result& result,
+                            std::vector<StepPrice>& priced,
                             Report& rep) const;
   void reconcile_pass(const std::vector<core::OpPlan>& plans,
                       const core::ExecutionEngine::Result& result,
-                      bool serial, Report& rep) const;
+                      const std::vector<StepPrice>& priced, bool serial,
+                      Report& rep) const;
 
   const core::PinatuboCostModel* model_;
   unsigned max_rows_cap_;

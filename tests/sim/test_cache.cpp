@@ -99,6 +99,39 @@ TEST(CacheHierarchy, FlushForgetsEverything) {
   EXPECT_EQ(h.access(0, false).served_by_level, h.levels());
 }
 
+/// Drives a mixed read/write stream with reuse and evictions: `n` accesses
+/// over a footprint of `span` lines, from a fixed LCG.
+void drive(CacheHierarchy& h, std::uint64_t seed, std::uint64_t n,
+           std::uint64_t span) {
+  std::uint64_t x = seed;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    h.access((x >> 20) % span * 64, (x >> 60) == 0);
+  }
+}
+
+TEST(CacheHierarchy, FlushMatchesFresh) {
+  const std::vector<std::vector<CacheLevelConfig>> configs = {
+      haswell_cache_config(),
+      {tiny("L1", 1024, 2), tiny("L2", 4096, 4)},
+  };
+  for (const auto& cfg : configs) {
+    CacheHierarchy used(cfg);
+    drive(used, 1, 50000, 200000);
+    used.flush();
+    drive(used, 2, 50000, 3000);
+    CacheHierarchy fresh(cfg);
+    drive(fresh, 2, 50000, 3000);
+    EXPECT_EQ(used.served_lines(), fresh.served_lines());
+    EXPECT_EQ(used.memory_lines(), fresh.memory_lines());
+    EXPECT_EQ(used.write_lines(), fresh.write_lines());
+    for (unsigned l = 0; l < used.levels(); ++l) {
+      EXPECT_EQ(used.level(l).hits(), fresh.level(l).hits());
+      EXPECT_EQ(used.level(l).misses(), fresh.level(l).misses());
+    }
+  }
+}
+
 TEST(CacheHierarchy, HaswellShape) {
   const auto cfg = haswell_cache_config();
   ASSERT_EQ(cfg.size(), 3u);

@@ -101,6 +101,38 @@ TEST(SimdCpuModel, ScalarCost) {
   EXPECT_GT(with_mem.energy.get("mem.read"), 0.0);
 }
 
+TEST(SimdCpuModel, ScalarPricingIgnoresTheCache) {
+  // scalar() is closed form: a model that never touched its cache, one
+  // that did and was reset, and the pinned values must all agree exactly.
+  struct Golden {
+    MemKind kind;
+    double time_ns, total_pj, core_pj, read_pj, l2_pj;
+  };
+  const Golden golden[] = {
+      {MemKind::kDram, 1030840.4705882353, 15481147193.22353,
+       15462607058.82353, 15099494.399999999, 3440640},
+      {MemKind::kPcm, 1040853.6103896104, 15641410619.844156,
+       15612804155.844156, 25165824, 3440640},
+  };
+  for (const Golden& g : golden) {
+    const SimdCpuModel fresh({}, g.kind);
+    const auto c = fresh.scalar(6'600'000, 1 << 20);
+    EXPECT_EQ(c.time_ns, g.time_ns);
+    EXPECT_EQ(c.energy.total_pj(), g.total_pj);
+    EXPECT_EQ(c.energy.get("cpu.core"), g.core_pj);
+    EXPECT_EQ(c.energy.get("mem.read"), g.read_pj);
+    EXPECT_EQ(c.energy.get("cpu.L2"), g.l2_pj);
+
+    SimdCpuModel used({}, g.kind);
+    used.bulk_op(or2(1 << 20));
+    used.reset();
+    const auto u = used.scalar(6'600'000, 1 << 20);
+    EXPECT_EQ(u.time_ns, c.time_ns);
+    EXPECT_EQ(u.energy.to_string(), c.energy.to_string());
+    EXPECT_EQ(u.energy.total_pj(), c.energy.total_pj());
+  }
+}
+
 TEST(SimdCpuModel, WordAlignedFootprint) {
   // The host kernels process whole 64-bit words, so the baseline is charged
   // per word: a sub-word tail costs the same as the rounded-up size, and

@@ -197,6 +197,20 @@ TEST_F(VerifierTest, ActWithoutResetTripsP12) {
   expect_only(verifier_.check_commands(broken), Rule::kBadCommandOrder);
 }
 
+TEST_F(VerifierTest, P12DiagnosticTextIsStable) {
+  // The automaton formats its "command i (KIND): " prefix only when a rule
+  // fires; the text users and CI grep for must not depend on that.
+  std::vector<mem::Command> cmds;
+  model_.lower_step(plan_of(BitOp::kOr, 4).steps[0], cmds);
+  std::vector<mem::Command> broken;
+  for (const mem::Command& c : cmds)
+    if (c.kind != mem::CmdKind::kPimReset) broken.push_back(c);
+  const Report rep = verifier_.check_commands(broken);
+  ASSERT_FALSE(rep.ok());
+  EXPECT_EQ(rep.diags.front().message,
+            "command 1 (ACT): activate outside a reset multi-ACT window");
+}
+
 TEST_F(VerifierTest, SenseWithoutActTripsP12) {
   std::vector<mem::Command> cmds;
   model_.lower_step(plan_of(BitOp::kOr, 4).steps[0], cmds);
