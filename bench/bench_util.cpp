@@ -1,10 +1,12 @@
 #include "bench_util.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "sim/simd_backend.hpp"
@@ -26,41 +28,53 @@ Baselines run_baselines(const std::vector<apps::NamedTrace>& workloads) {
   return {run_suite(dram, workloads), run_suite(pcm, workloads)};
 }
 
+std::vector<double> RatioMatrix::column(std::size_t b) const {
+  std::vector<double> col;
+  col.reserve(ratios.size());
+  for (const auto& row : ratios) col.push_back(row.at(b));
+  return col;
+}
+
 RatioMatrix build_matrix(const std::vector<apps::NamedTrace>& workloads,
                          const Baselines& baselines,
                          const std::vector<SuiteRun>& backends,
                          const std::vector<bool>& vs_dram,
-                         const Metric& metric) {
+                         const Metric& metric,
+                         const std::vector<std::size_t>& rows) {
   PIN_CHECK(backends.size() == vs_dram.size());
+  std::vector<std::size_t> picked = rows;
+  if (picked.empty())
+    for (std::size_t w = 0; w < workloads.size(); ++w) picked.push_back(w);
   RatioMatrix m;
-  for (const auto& w : workloads) m.workload_names.push_back(w.name);
+  for (const std::size_t w : picked) {
+    m.workload_groups.push_back(workloads.at(w).group);
+    m.workload_names.push_back(workloads[w].name);
+  }
+  m.ratios.resize(picked.size());
   for (std::size_t b = 0; b < backends.size(); ++b) {
     m.backend_names.push_back(backends[b].backend);
     const auto& base = vs_dram[b] ? baselines.simd_dram : baselines.simd_pcm;
     std::vector<double> col;
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-      const double ref = metric(base.results[w]);
-      const double val = metric(backends[b].results[w]);
+    for (const std::size_t w : picked) {
+      const double ref = metric(base.results.at(w));
+      const double val = metric(backends[b].results.at(w));
       PIN_CHECK_MSG(val > 0, backends[b].backend << " on " << workloads[w].name);
       col.push_back(ref / val);
     }
     m.gmean.push_back(geomean(col));
-    // Transpose into [workload][backend].
-    if (m.ratios.empty()) m.ratios.resize(workloads.size());
-    for (std::size_t w = 0; w < workloads.size(); ++w)
-      m.ratios[w].push_back(col[w]);
+    for (std::size_t i = 0; i < picked.size(); ++i)
+      m.ratios[i].push_back(col[i]);
   }
   return m;
 }
 
-Table matrix_table(const std::string& title, const RatioMatrix& m,
-                   const std::vector<apps::NamedTrace>& workloads) {
+Table matrix_table(const std::string& title, const RatioMatrix& m) {
   Table t(title);
   std::vector<std::string> header{"group", "workload"};
   for (const auto& b : m.backend_names) header.push_back(b);
   t.set_header(header);
   for (std::size_t w = 0; w < m.workload_names.size(); ++w) {
-    std::vector<std::string> row{workloads[w].group, m.workload_names[w]};
+    std::vector<std::string> row{m.workload_groups[w], m.workload_names[w]};
     for (const double r : m.ratios[w]) row.push_back(Table::mult(r));
     t.add_row(row);
   }
@@ -72,11 +86,19 @@ Table matrix_table(const std::string& title, const RatioMatrix& m,
 }
 
 double parse_scale(int argc, char** argv, double def) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--scale=", 8) == 0)
-      return std::strtod(argv[i] + 8, nullptr);
+  const std::string v = parse_path_arg(argc, argv, "scale");
+  if (v.empty()) {
+    PIN_CHECK_MSG(!parse_flag(argc, argv, "scale") &&
+                      !parse_flag(argc, argv, "scale="),
+                  "--scale needs a value");
+    return def;
   }
-  return def;
+  Config arg;
+  arg.set("--scale", v);
+  const double scale = arg.get_double("--scale", def);
+  PIN_CHECK_MSG(std::isfinite(scale) && scale > 0.0 && scale <= 1.0,
+                "--scale must be in (0, 1], got " << v);
+  return scale;
 }
 
 bool parse_flag(int argc, char** argv, const std::string& name) {

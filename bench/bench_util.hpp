@@ -36,26 +36,33 @@ Baselines run_baselines(const std::vector<apps::NamedTrace>& workloads);
 /// Ratio table (speedup or energy saving), paper layout: rows = workloads
 /// plus Gmean, columns = architectures.
 struct RatioMatrix {
+  std::vector<std::string> workload_groups;
   std::vector<std::string> workload_names;
   std::vector<std::string> backend_names;
-  std::vector<std::vector<double>> ratios;  // [workload][backend]
-  std::vector<double> gmean;                // per backend
+  std::vector<std::vector<double>> ratios;  // [row][backend]
+  std::vector<double> gmean;                // per backend, over the rows
+
+  /// Backend `b`'s ratio on every row, in row order.
+  std::vector<double> column(std::size_t b) const;
 };
 
 using Metric = std::function<double(const sim::BackendResult&)>;
 
-/// ratios[w][b] = metric(baseline for b) / metric(backend b) on workload w.
+/// ratios[i][b] = metric(baseline for b) / metric(backend b) on workload
+/// rows[i]; an empty `rows` takes every workload.  `vs_dram[b]` picks
+/// SIMD-on-DRAM as backend b's baseline, else SIMD-on-PCM.
 RatioMatrix build_matrix(const std::vector<apps::NamedTrace>& workloads,
                          const Baselines& baselines,
                          const std::vector<SuiteRun>& backends,
                          const std::vector<bool>& vs_dram,
-                         const Metric& metric);
+                         const Metric& metric,
+                         const std::vector<std::size_t>& rows = {});
 
 /// Renders the matrix as a table (rows: workloads + Gmean).
-Table matrix_table(const std::string& title, const RatioMatrix& m,
-                   const std::vector<apps::NamedTrace>& workloads);
+Table matrix_table(const std::string& title, const RatioMatrix& m);
 
-/// Parses a leading "--scale=<f>" style arg list into a workload scale.
+/// Workload scale from "--scale=<f>" or "--scale <f>"; `def` when absent.
+/// Throws Error naming the flag unless the value is a number in (0, 1].
 double parse_scale(int argc, char** argv, double def = 1.0);
 
 /// True when `--<name>` appears among the args.

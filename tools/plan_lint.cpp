@@ -14,6 +14,7 @@
 // Exit status: 0 = every rule held, 1 = diagnostics were reported,
 // 2 = usage / IO error.  CI runs this over every example/bench plan, so an
 // illegal plan or a dishonest schedule fails the build, not a benchmark.
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -22,6 +23,7 @@
 
 #include "apps/vector_workload.hpp"
 #include "apps/workloads.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "pinatubo/allocator.hpp"
 #include "pinatubo/cost_model.hpp"
@@ -99,42 +101,49 @@ int main(int argc, char** argv) {
   std::vector<std::string> trace_files;
   std::string spec, chrome_trace, summary_out;
   bool suite = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* flag) -> const char* {
-      const std::size_t n = std::strlen(flag);
-      if (arg.compare(0, n, flag) == 0 && arg.size() > n && arg[n] == '=')
-        return arg.c_str() + n + 1;
-      if (arg == flag && i + 1 < argc) return argv[++i];
-      return nullptr;
-    };
-    if (const char* v = value("--tech")) {
-      try {
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      auto value = [&](const char* flag) -> const char* {
+        const std::size_t n = std::strlen(flag);
+        if (arg.compare(0, n, flag) == 0 && arg.size() > n && arg[n] == '=')
+          return arg.c_str() + n + 1;
+        if (arg == flag && i + 1 < argc) return argv[++i];
+        return nullptr;
+      };
+      // Numbers go through Config's strict getters: trailing junk, a sign
+      // on an unsigned value and overflow throw an Error naming the flag.
+      Config num;
+      if (const char* v = value("--tech")) {
         opt.tech = nvm::tech_from_string(v);
-      } catch (const Error& e) {
-        std::fprintf(stderr, "plan_lint: %s\n", e.what());
-        return 2;
+      } else if (const char* v = value("--max-rows")) {
+        num.set("--max-rows", v);
+        const std::uint64_t rows = num.get_u64("--max-rows", opt.max_rows);
+        PIN_CHECK_MSG(rows <= UINT_MAX, "--max-rows out of range: " << v);
+        opt.max_rows = static_cast<unsigned>(rows);
+      } else if (const char* v = value("--scale")) {
+        num.set("--scale", v);
+        opt.scale = num.get_double("--scale", opt.scale);
+      } else if (const char* v = value("--spec")) {
+        spec = v;
+      } else if (const char* v = value("--trace")) {
+        chrome_trace = v;
+      } else if (const char* v = value("--summary")) {
+        summary_out = v;
+      } else if (arg == "--serial") {
+        opt.serial = true;
+      } else if (arg == "--suite") {
+        suite = true;
+      } else if (arg == "--help" || arg == "-h" ||
+                 arg.compare(0, 2, "--") == 0) {
+        return usage(argv[0]);
+      } else {
+        trace_files.push_back(arg);
       }
-    } else if (const char* v = value("--max-rows")) {
-      opt.max_rows = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-    } else if (const char* v = value("--scale")) {
-      opt.scale = std::strtod(v, nullptr);
-    } else if (const char* v = value("--spec")) {
-      spec = v;
-    } else if (const char* v = value("--trace")) {
-      chrome_trace = v;
-    } else if (const char* v = value("--summary")) {
-      summary_out = v;
-    } else if (arg == "--serial") {
-      opt.serial = true;
-    } else if (arg == "--suite") {
-      suite = true;
-    } else if (arg == "--help" || arg == "-h" ||
-               arg.compare(0, 2, "--") == 0) {
-      return usage(argv[0]);
-    } else {
-      trace_files.push_back(arg);
     }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "plan_lint: %s\n", e.what());
+    return 2;
   }
   if (!suite && spec.empty() && chrome_trace.empty() && trace_files.empty())
     return usage(argv[0]);
