@@ -7,7 +7,7 @@
 
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "nvm/area_model.hpp"
+#include "mem/area_model.hpp"
 #include "pinatubo/backend.hpp"
 
 using namespace pinatubo;
@@ -19,7 +19,6 @@ int main() {
   for (const unsigned mux : {8u, 16u, 32u, 64u}) {
     mem::Geometry geo;
     geo.sa_mux_share = mux;
-    geo.validate();
     core::PinatuboBackend pin(geo, {nvm::Tech::kPcm, 128});
     std::vector<std::uint64_t> ids;
     for (unsigned k = 0; k < 128; ++k) ids.push_back(k);
@@ -27,9 +26,7 @@ int main() {
         pin.op_cost(BitOp::kOr, ids, 127, 1ull << 19, false, 0.5);
     const double gbps = 128.0 * 65536.0 / cost.time_ns;
 
-    nvm::ChipStructure chip;
-    chip.sa_mux_share = mux;
-    const nvm::AreaModel area(nvm::cell_params(nvm::Tech::kPcm), chip);
+    const mem::AreaModel area(nvm::cell_params(nvm::Tech::kPcm), geo);
     const double sa_mm2 = area.baseline().find("sense amps") / 1e6;
 
     t.add_row({std::to_string(mux),

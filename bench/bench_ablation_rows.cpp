@@ -8,7 +8,7 @@
 
 #include "circuit/latency_model.hpp"
 #include "common/table.hpp"
-#include "nvm/area_model.hpp"
+#include "mem/area_model.hpp"
 
 using namespace pinatubo;
 
@@ -25,10 +25,10 @@ int main() {
     const double cmds = (1 + 1 + 128 + 32 + 1) * 1.25;
     const double op_ns = cmds + d.t_rcd_ns + 31 * d.t_cl_ns + d.t_wr_ns;
 
-    nvm::ChipStructure chip;  // constant capacity: trade rows vs subarrays
-    chip.rows_per_subarray = rows;
-    chip.subarrays_per_bank = 64 * 128 / rows;
-    const nvm::AreaModel area(nvm::cell_params(nvm::Tech::kPcm), chip);
+    mem::Geometry geo;  // constant capacity: trade rows vs subarrays
+    geo.rows_per_subarray = rows;
+    geo.subarrays_per_bank = 64 * 128 / rows;
+    const mem::AreaModel area(nvm::cell_params(nvm::Tech::kPcm), geo);
     const auto base = area.baseline();
     const double periphery =
         (base.total_um2() - base.find("cell array")) / 1e6;

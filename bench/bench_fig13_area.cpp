@@ -7,13 +7,13 @@
 #include <cstdio>
 
 #include "common/table.hpp"
-#include "nvm/area_model.hpp"
+#include "mem/area_model.hpp"
 
 using namespace pinatubo;
 
 int main() {
-  const nvm::AreaModel model(nvm::cell_params(nvm::Tech::kPcm),
-                             nvm::ChipStructure{});
+  const mem::AreaModel model(nvm::cell_params(nvm::Tech::kPcm),
+                             mem::Geometry{});
   const auto base = model.baseline();
   const auto pin = model.pinatubo_overhead();
   const auto acpim = model.acpim_overhead();

@@ -32,6 +32,8 @@ using namespace pinatubo::bench;
 
 int main(int argc, char** argv) {
   const bool serial_only = parse_flag(argc, argv, "serial");
+  const std::string json_path = parse_json_path(argc, argv);
+  const std::string trace_path = parse_trace_path(argc, argv);
   JsonReport json;
 
   const mem::Geometry geo;
@@ -131,9 +133,8 @@ int main(int argc, char** argv) {
   json.add("batched_engine_gbps", engine_gbps);
   json.add("batched_speedup", serial.time_ns / r.cost.time_ns);
   json.add("engine_mode", serial_only ? "serial" : "overlapped");
-  json.write(parse_json_path(argc, argv));
+  json.write(json_path);
 
-  const std::string trace_path = parse_trace_path(argc, argv);
   if (!trace_path.empty()) {
     obs::TraceSession trace(true);
     obs::render_schedule(trace, plans, r, 0.0);

@@ -59,6 +59,7 @@ double max_of(const std::vector<double>& xs) {
 
 int main(int argc, char** argv) {
   const double scale = parse_scale(argc, argv);
+  const std::string json_path = parse_json_path(argc, argv);
   const std::string trace_path = parse_trace_path(argc, argv);
   obs::TraceSession trace(!trace_path.empty());
 
@@ -134,7 +135,7 @@ int main(int argc, char** argv) {
   json.add_matrix("fig11_energy", fig11);
   json.add_matrix("fig12_speedup", fig12_time);
   json.add_matrix("fig12_energy", fig12_energy);
-  json.write(parse_json_path(argc, argv));
+  json.write(json_path);
 
   if (trace.enabled()) {
     trace.write_chrome_json(trace_path);

@@ -113,6 +113,7 @@ unsigned parse_threads(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   const unsigned threads = parse_threads(argc, argv);
+  const std::string json_path = bench::parse_json_path(argc, argv);
   ThreadPool::set_global_threads(threads);
 
   mem::Geometry g;  // evaluated machine: 64 Kb functional rows
@@ -158,6 +159,6 @@ int main(int argc, char** argv) {
   std::printf("determinism (1 vs %u threads): %s\n", check_threads,
               identical ? "bit-identical" : "MISMATCH");
   report.add("determinism", identical ? "pass" : "fail");
-  report.write(bench::parse_json_path(argc, argv));
+  report.write(json_path);
   return identical ? 0 : 1;
 }

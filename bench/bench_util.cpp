@@ -9,6 +9,7 @@
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "obs/trace.hpp"
 #include "sim/simd_backend.hpp"
 
 namespace pinatubo::bench {
@@ -87,12 +88,7 @@ Table matrix_table(const std::string& title, const RatioMatrix& m) {
 
 double parse_scale(int argc, char** argv, double def) {
   const std::string v = parse_path_arg(argc, argv, "scale");
-  if (v.empty()) {
-    PIN_CHECK_MSG(!parse_flag(argc, argv, "scale") &&
-                      !parse_flag(argc, argv, "scale="),
-                  "--scale needs a value");
-    return def;
-  }
+  if (v.empty()) return def;
   Config arg;
   arg.set("--scale", v);
   const double scale = arg.get_double("--scale", def);
@@ -112,9 +108,16 @@ std::string parse_path_arg(int argc, char** argv, const std::string& name) {
   const std::string flag = "--" + name;
   const std::string prefix = flag + "=";
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0)
-      return argv[i] + prefix.size();
-    if (flag == argv[i] && i + 1 < argc) return argv[i + 1];
+    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
+      const std::string value = argv[i] + prefix.size();
+      PIN_CHECK_MSG(!value.empty(), flag << " needs a value");
+      return value;
+    }
+    if (flag == argv[i]) {
+      PIN_CHECK_MSG(i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0,
+                    flag << " needs a value");
+      return argv[i + 1];
+    }
   }
   return {};
 }
@@ -129,14 +132,10 @@ std::string parse_trace_path(int argc, char** argv) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
+std::string json_string(const std::string& s) {
+  std::ostringstream os;
+  obs::append_json_string(os, s);
+  return os.str();
 }
 
 std::string json_number(double v) {
@@ -149,17 +148,16 @@ std::string json_number(double v) {
 }  // namespace
 
 void JsonReport::add(const std::string& key, double value) {
-  fields_.push_back("\"" + json_escape(key) + "\": " + json_number(value));
+  fields_.push_back(json_string(key) + ": " + json_number(value));
 }
 
 void JsonReport::add(const std::string& key, const std::string& value) {
-  fields_.push_back("\"" + json_escape(key) + "\": \"" + json_escape(value) +
-                    "\"");
+  fields_.push_back(json_string(key) + ": " + json_string(value));
 }
 
 void JsonReport::add_array(const std::string& key,
                            const std::vector<double>& values) {
-  std::string out = "\"" + json_escape(key) + "\": [";
+  std::string out = json_string(key) + ": [";
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i) out += ", ";
     out += json_number(values[i]);
@@ -169,12 +167,12 @@ void JsonReport::add_array(const std::string& key,
 
 void JsonReport::add_matrix(const std::string& key, const RatioMatrix& m) {
   std::ostringstream os;
-  os << "\"" << json_escape(key) << "\": {\"workloads\": [";
+  os << json_string(key) << ": {\"workloads\": [";
   for (std::size_t i = 0; i < m.workload_names.size(); ++i)
-    os << (i ? ", " : "") << "\"" << json_escape(m.workload_names[i]) << "\"";
+    os << (i ? ", " : "") << json_string(m.workload_names[i]);
   os << "], \"backends\": [";
   for (std::size_t i = 0; i < m.backend_names.size(); ++i)
-    os << (i ? ", " : "") << "\"" << json_escape(m.backend_names[i]) << "\"";
+    os << (i ? ", " : "") << json_string(m.backend_names[i]);
   os << "], \"ratios\": [";
   for (std::size_t w = 0; w < m.ratios.size(); ++w) {
     os << (w ? ", " : "") << "[";
@@ -197,6 +195,8 @@ void JsonReport::write(const std::string& path) const {
   for (std::size_t i = 0; i < fields_.size(); ++i)
     f << "  " << fields_[i] << (i + 1 < fields_.size() ? "," : "") << "\n";
   f << "}\n";
+  f.flush();
+  PIN_CHECK_MSG(f.good(), "failed writing " << path);
   std::printf("wrote %s\n", path.c_str());
 }
 

@@ -69,6 +69,8 @@ double parse_scale(int argc, char** argv, double def = 1.0);
 bool parse_flag(int argc, char** argv, const std::string& name);
 
 /// Path given as "--<name> <path>" or "--<name>=<path>"; empty when absent.
+/// Throws Error naming the flag when its value is missing: the flag is the
+/// last argument, "--<name>=" is empty, or the next argument is a "--" flag.
 std::string parse_path_arg(int argc, char** argv, const std::string& name);
 
 /// Path given as "--json <path>" or "--json=<path>"; empty when absent.

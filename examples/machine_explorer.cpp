@@ -16,7 +16,7 @@
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "nvm/area_model.hpp"
+#include "mem/area_model.hpp"
 #include "obs/trace.hpp"
 #include "pinatubo/backend.hpp"
 #include "pinatubo/driver.hpp"
@@ -88,17 +88,7 @@ int main(int argc, char** argv) {
   rp.print();
   std::printf("\n");
 
-  nvm::ChipStructure chip;
-  chip.banks = geo.banks_per_chip;
-  chip.subarrays_per_bank = geo.subarrays_per_bank;
-  chip.mats_per_subarray = geo.mats_per_subarray;
-  chip.rows_per_subarray = geo.rows_per_subarray;
-  chip.row_slice_bits = geo.row_slice_bits;
-  chip.sa_mux_share = geo.sa_mux_share;
-  chip.cells = static_cast<std::uint64_t>(geo.banks_per_chip) *
-               geo.subarrays_per_bank * geo.rows_per_subarray *
-               geo.row_slice_bits;
-  const nvm::AreaModel area(nvm::cell_params(tech), chip);
+  const mem::AreaModel area(nvm::cell_params(tech), geo);
   std::printf("chip area %.2f mm^2; Pinatubo overhead %.3f%%, AC-PIM %.3f%%\n\n",
               area.baseline().total_um2() / 1e6,
               area.pinatubo_overhead().total_percent(),

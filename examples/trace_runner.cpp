@@ -33,10 +33,14 @@ int main(int argc, char** argv) {
   }
   std::string trace_out;
   for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace-out=", 12) == 0)
-      trace_out = argv[i] + 12;
-    else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc)
-      trace_out = argv[++i];
+    const bool joined = std::strncmp(argv[i], "--trace-out=", 12) == 0;
+    if (!joined && std::strcmp(argv[i], "--trace-out") != 0) continue;
+    const char* path = joined ? argv[i] + 12 : (i + 1 < argc ? argv[++i] : "");
+    if (*path == '\0' || (!joined && std::strncmp(path, "--", 2) == 0)) {
+      std::fprintf(stderr, "%s: --trace-out needs a path\n", argv[0]);
+      return 1;
+    }
+    trace_out = path;
   }
   if (std::strcmp(argv[1], "--demo") == 0) {
     const auto trace =

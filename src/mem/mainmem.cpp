@@ -74,16 +74,21 @@ MainMemory::Word* MainMemory::materialize_row(const RowAddr& logical) {
   if (bank.slots.empty())
     bank.slots.assign(geometry().rows_per_bank(), 0);
   std::uint32_t& slot = bank.slots[row_in_bank(addr)];
-  if (slot == 0) {
+  const bool fresh = slot == 0;
+  if (fresh) {
+    // Slabs are left uninitialized and each row is zeroed when handed
+    // out, so a slab's unused rows never fault their pages in.
     if (bank.used % kRowsPerSlab == 0)
       bank.slabs.push_back(
-          std::make_unique<Word[]>(kRowsPerSlab * row_words_));
+          std::make_unique_for_overwrite<Word[]>(kRowsPerSlab * row_words_));
     slot = ++bank.used;
     ++rows_written_;
   }
   const std::size_t idx = slot - 1;
-  return bank.slabs[idx / kRowsPerSlab].get() +
-         (idx % kRowsPerSlab) * row_words_;
+  Word* row = bank.slabs[idx / kRowsPerSlab].get() +
+              (idx % kRowsPerSlab) * row_words_;
+  if (fresh) std::fill_n(row, row_words_, Word{0});
+  return row;
 }
 
 void MainMemory::finish_write(const RowAddr& logical, Word* row,

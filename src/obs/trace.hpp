@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,11 @@ struct Span {
   double dur_ns = 0.0;
   double end_ns() const { return start_ns + dur_ns; }
 };
+
+/// Appends `s` to `os` as a quoted JSON string, escaping quotes,
+/// backslashes and control characters (the one JSON string escaper of
+/// the trace and bench writers).
+void append_json_string(std::ostream& os, const std::string& s);
 
 class TraceSession {
  public:

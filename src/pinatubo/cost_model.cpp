@@ -17,15 +17,6 @@ std::uint64_t PinatuboCostModel::sensed_bits(const PlanStep& s) const {
   return static_cast<std::uint64_t>(s.col_steps) * geo_.sense_step_bits();
 }
 
-double PinatuboCostModel::stream_ns(unsigned cols) const {
-  // Bits per chip per bank for one column stripe, over the GDL width.
-  const double bits_per_chip_bank =
-      static_cast<double>(geo_.sense_step_bits()) /
-      (geo_.banks_per_chip * geo_.chips_per_rank);
-  const double beats = bits_per_chip_bank / path_.gdl_beat_bits;
-  return static_cast<double>(cols) * beats * path_.gdl_clk_ns;
-}
-
 std::uint64_t PinatuboCostModel::command_count(const PlanStep& s) const {
   // PIM commands broadcast to all banks of the rank (the lock-step bank
   // cluster shares row coordinates), so the command count is independent
@@ -80,7 +71,7 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
     }
     case StepKind::kInterSub:
     case StepKind::kInterBank: {
-      const double stream = stream_ns(s.col_steps);
+      const double stream = path_.stream_ns(geo_, s.col_steps);
       double t = t_cmds + 2.0 * (timing_.t_rcd_ns + stream) +
                  (s.writeback ? timing_.t_wr_ns + stream : 0.0);
       // Reads: sensing + GDL + buffer latch for both operands.
@@ -98,7 +89,7 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
       if (s.kind == StepKind::kInterBank && s.crosses_rank) {
         // One operand hops over the DDR bus between ranks.
         t += width / 8.0 / bus_.data_gbps;
-        cost.energy.add("bus.io", energy_.io_pj(hw_bits));
+        cost.energy.add("bus.io", bus_.io_pj(hw_bits));
       }
       cost.time_ns = t;
       return cost;
@@ -107,7 +98,7 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
       // Result already latched; burst it to the CPU.
       const double bytes = static_cast<double>(s.bits) / 8.0;
       cost.time_ns = t_cmds + bytes / bus_.data_gbps;
-      cost.energy.add("bus.io", energy_.io_pj(s.bits));
+      cost.energy.add("bus.io", bus_.io_pj(s.bits));
       return cost;
     }
   }

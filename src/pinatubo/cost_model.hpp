@@ -65,8 +65,6 @@ class PinatuboCostModel {
   /// Bits the hardware actually senses/moves for a step (whole column
   /// stripes, even when the logical vector only fills part of one).
   std::uint64_t sensed_bits(const PlanStep& s) const;
-  /// Per-bank GDL streaming time for `cols` column stripes.
-  double stream_ns(unsigned cols) const;
 
   mem::Geometry geo_;
   nvm::Tech tech_;

@@ -18,7 +18,6 @@ mem::Cost AcPimBackend::op_cost(BitOp op, std::size_t n_operands,
   PIN_CHECK(bits > 0);
   const std::uint64_t group_bits = geo_.row_group_bits();
   const std::uint64_t groups = (bits + group_bits - 1) / group_bits;
-  const std::uint64_t serial_groups = groups;
   const auto steps =
       static_cast<double>(op == BitOp::kInv ? 1 : n_operands - 1);
 
@@ -28,15 +27,13 @@ mem::Cost AcPimBackend::op_cost(BitOp op, std::size_t n_operands,
   // touches are streamed (the column MUX selects them).
   const std::uint64_t step_bits = geo_.sense_step_bits();
   const std::uint64_t per_group_bits = std::min(bits, group_bits);
-  const auto cols = static_cast<double>(
-      (per_group_bits + step_bits - 1) / step_bits);
-  const double stream =
-      path_.stream_ns(geo_) * cols / static_cast<double>(geo_.sa_mux_share);
+  const std::uint64_t cols = (per_group_bits + step_bits - 1) / step_bits;
+  const double stream = path_.stream_ns(geo_, cols);
   const double step_ns = 2.0 * (timing_.t_rcd_ns + stream) +
                          (timing_.t_wr_ns + stream);
 
   mem::Cost cost;
-  cost.time_ns = static_cast<double>(serial_groups) * steps * step_ns;
+  cost.time_ns = static_cast<double>(groups) * steps * step_ns;
 
   // Energy per step over the whole op width (all groups).
   const auto width = static_cast<double>(bits);
@@ -44,12 +41,10 @@ mem::Cost AcPimBackend::op_cost(BitOp op, std::size_t n_operands,
       energy_.sense_pj(1, 1, timing_.t_cl_ns) +  // per bit sense
       path_.gdl_pj_per_bit + path_.latch_pj_per_bit;
   const double logic_pj = path_.logic_pj_per_bit;
-  const double ones = width * result_density;
   const double write_pj_bit =
       (energy_.write_pj(1, 0) * result_density +
        energy_.write_pj(0, 1) * (1.0 - result_density)) +
       path_.gdl_pj_per_bit;
-  (void)ones;
   cost.energy.add("acpim.read", steps * 2.0 * width * read_pj);
   cost.energy.add("acpim.logic", steps * width * logic_pj);
   cost.energy.add("acpim.write", steps * width * write_pj_bit);
@@ -60,7 +55,7 @@ mem::Cost AcPimBackend::op_cost(BitOp op, std::size_t n_operands,
   if (host_reads_result) {
     const auto bus = mem::ddr3_1600_bus();
     cost.time_ns += width / 8.0 / bus.data_gbps;
-    cost.energy.add("bus.io", energy_.io_pj(bits));
+    cost.energy.add("bus.io", bus.io_pj(bits));
   }
   return cost;
 }

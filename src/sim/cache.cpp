@@ -122,9 +122,9 @@ void CacheHierarchy::flush() {
 
 std::vector<CacheLevelConfig> haswell_cache_config() {
   return {
-      {"L1", 32 * 1024, 8, 64, 1.2, 60, 400.0},
-      {"L2", 256 * 1024, 8, 64, 3.6, 300, 200.0},
-      {"L3", 6 * 1024 * 1024, 12, 64, 12.0, 1000, 100.0},
+      {"L1", 32 * 1024, 8, kHaswellLineBytes, 1.2, 60, 400.0},
+      {"L2", 256 * 1024, 8, kHaswellLineBytes, 3.6, kHaswellL2HitPj, 200.0},
+      {"L3", 6 * 1024 * 1024, 12, kHaswellLineBytes, 12.0, 1000, 100.0},
   };
 }
 

@@ -84,6 +84,12 @@ class CacheHierarchy {
   std::uint64_t write_lines_ = 0;
 };
 
+/// Haswell line size and L2 energy per line access, shared by
+/// `haswell_cache_config()` and the CPU model's scalar pricing (which
+/// charges cached scalar bytes as L2 hits without walking the caches).
+inline constexpr unsigned kHaswellLineBytes = 64;
+inline constexpr double kHaswellL2HitPj = 300;
+
 /// The paper's Haswell-class hierarchy: 32 KB L1 / 256 KB L2 / 6 MB L3.
 std::vector<CacheLevelConfig> haswell_cache_config();
 

@@ -139,7 +139,7 @@ mem::Cost SimdCpuModel::scalar(std::uint64_t ops, std::uint64_t bytes) const {
   // Cached portion still pays cache energy (cheap, L2-class).
   cost.energy.add("cpu.L2",
                   static_cast<double>(bytes) * (1.0 - cfg_.scalar_miss_fraction) /
-                      64.0 * 300.0);
+                      kHaswellLineBytes * kHaswellL2HitPj);
   return cost;
 }
 

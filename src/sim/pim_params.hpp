@@ -10,6 +10,8 @@
 // AAP and triple-row activation), following the published mechanism.
 #pragma once
 
+#include <cstdint>
+
 #include "mem/geometry.hpp"
 #include "mem/timing.hpp"
 
@@ -23,10 +25,14 @@ struct BufferPathParams {
   double logic_pj_per_bit = 1.0;  ///< synthesized wide ALU evaluate
   double latch_pj_per_bit = 0.1;  ///< row buffer capture
 
-  /// Time to stream one rank-row slice through the GDL (chips parallel,
-  /// one slice of `row_slice_bits` per chip).
-  double stream_ns(const mem::Geometry& g) const {
-    return static_cast<double>(g.row_slice_bits) / gdl_beat_bits * gdl_clk_ns;
+  /// Per-bank GDL streaming time for `cols` column stripes (chips and
+  /// banks in parallel, one stripe's share of a row slice per chip-bank).
+  double stream_ns(const mem::Geometry& g, std::uint64_t cols) const {
+    const double bits_per_chip_bank =
+        static_cast<double>(g.sense_step_bits()) /
+        (g.banks_per_chip * g.chips_per_rank);
+    const double beats = bits_per_chip_bank / gdl_beat_bits;
+    return static_cast<double>(cols) * beats * gdl_clk_ns;
   }
 };
 

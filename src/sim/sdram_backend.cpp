@@ -6,9 +6,9 @@
 
 namespace pinatubo::sim {
 
-SdramBackend::SdramBackend(const mem::Geometry& geo, const CpuConfig& cpu)
+SdramBackend::SdramBackend(const mem::Geometry& geo)
     : geo_(geo), timing_(mem::dram_timing()),
-      fallback_cpu_(cpu, MemKind::kDram) {
+      fallback_cpu_({}, MemKind::kDram) {
   geo_.validate();
 }
 
@@ -17,10 +17,9 @@ mem::Cost SdramBackend::op_cost(std::size_t n_operands, std::uint64_t bits,
   PIN_CHECK(n_operands >= 2);
   PIN_CHECK(bits > 0);
   const std::uint64_t group_bits = geo_.row_group_bits();
-  const std::uint64_t groups = (bits + group_bits - 1) / group_bits;
   // Row groups execute serially (the driver issues one group's command
   // sequence at a time — the behaviour behind the paper's turning point B).
-  const std::uint64_t serial_groups = groups;
+  const std::uint64_t groups = (bits + group_bits - 1) / group_bits;
 
   // Per group: 2 operand copies + (n-2) accumulate copies, (n-1) triple-row
   // activations, 1 result copy out.  Every step is an AAP-class row cycle.
@@ -30,7 +29,7 @@ mem::Cost SdramBackend::op_cost(std::size_t n_operands, std::uint64_t bits,
   const double group_ns = (steps_aap + steps_tra) * aap;
 
   mem::Cost cost;
-  cost.time_ns = static_cast<double>(serial_groups) * group_ns;
+  cost.time_ns = static_cast<double>(groups) * group_ns;
 
   // Energy: every AAP activates two full row groups; a TRA opens three rows
   // at once.  Last (partial) group still activates full rows.
@@ -45,8 +44,8 @@ mem::Cost SdramBackend::op_cost(std::size_t n_operands, std::uint64_t bits,
     const auto bus = mem::ddr3_1600_bus();
     const double bytes = static_cast<double>(bits) / 8.0;
     cost.time_ns += bytes / bus.data_gbps;
-    // Off-chip transfer energy (same I/O class as the NVM model's).
-    cost.energy.add("bus.io", static_cast<double>(bits) * 18.0);
+    // Off-chip transfer energy (the same DDR3 bus as the NVM machine's).
+    cost.energy.add("bus.io", bus.io_pj(bits));
   }
   return cost;
 }

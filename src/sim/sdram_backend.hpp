@@ -25,8 +25,7 @@ namespace pinatubo::sim {
 
 class SdramBackend final : public Backend {
  public:
-  explicit SdramBackend(const mem::Geometry& geo = {},
-                        const CpuConfig& cpu = {});
+  explicit SdramBackend(const mem::Geometry& geo = {});
 
   std::string name() const override { return "S-DRAM"; }
   BackendResult execute(const OpTrace& trace) override;

@@ -2,8 +2,7 @@
 
 namespace pinatubo::sim {
 
-SimdBackend::SimdBackend(MemKind mem, const CpuConfig& cfg)
-    : cpu_(cfg, mem) {}
+SimdBackend::SimdBackend(MemKind mem) : cpu_({}, mem) {}
 
 std::string SimdBackend::name() const {
   return std::string("SIMD-") + to_string(cpu_.mem_kind());

@@ -9,7 +9,7 @@ namespace pinatubo::sim {
 
 class SimdBackend final : public Backend {
  public:
-  explicit SimdBackend(MemKind mem, const CpuConfig& cfg = {});
+  explicit SimdBackend(MemKind mem);
 
   std::string name() const override;
   BackendResult execute(const OpTrace& trace) override;

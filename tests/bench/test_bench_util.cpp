@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -118,6 +121,65 @@ TEST(ParseScale, RejectsMalformedAndOutOfRangeValues) {
   }
   EXPECT_THROW(scale_of({"--scale"}), Error);
   EXPECT_THROW(scale_of({"--scale", "2"}), Error);
+}
+
+// parse_path_arg's result for `args`, or the Error message it threw.
+std::string path_of(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  try {
+    return parse_path_arg(static_cast<int>(argv.size()), argv.data(), "json");
+  } catch (const Error& e) {
+    return std::string("error: ") + e.what();
+  }
+}
+
+bool names_missing_json(const std::string& result) {
+  return result.rfind("error: ", 0) == 0 &&
+         result.find("--json needs a value") != std::string::npos;
+}
+
+TEST(ParsePathArg, AcceptsEqualsAndSpaceForms) {
+  EXPECT_EQ(path_of({"--json=a.json"}), "a.json");
+  EXPECT_EQ(path_of({"--json", "a.json"}), "a.json");
+  EXPECT_EQ(path_of({"--serial", "--json", "a.json", "--trace-out", "t"}),
+            "a.json");
+  EXPECT_EQ(path_of({"--trace-out", "t.json"}), "");
+}
+
+TEST(ParsePathArg, RejectsFlagAsLastArgument) {
+  EXPECT_TRUE(names_missing_json(path_of({"--json"})));
+  EXPECT_TRUE(names_missing_json(path_of({"--serial", "--json"})));
+}
+
+TEST(ParsePathArg, RejectsEmptyEqualsValue) {
+  EXPECT_TRUE(names_missing_json(path_of({"--json="})));
+}
+
+TEST(ParsePathArg, RejectsFlagAsValue) {
+  // `--json --trace-out t.json` must not write the report to "--trace-out".
+  EXPECT_TRUE(
+      names_missing_json(path_of({"--json", "--trace-out", "t.json"})));
+}
+
+TEST(JsonReport, EscapesControlCharactersLikeTheTraceWriter) {
+  const std::string path = ::testing::TempDir() + "bench_util_escape.json";
+  JsonReport r;
+  r.add("k\"\\\n\t\x01", "v");
+  r.write(path);
+  std::ifstream f(path);
+  const std::string text((std::istreambuf_iterator<char>(f)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text, "{\n  \"k\\\"\\\\\\n\\t\\u0001\": \"v\"\n}\n");
+  std::remove(path.c_str());
+}
+
+TEST(JsonReport, WriteFailureThrows) {
+  // Linux's /dev/full accepts the open and fails the flush.
+  JsonReport r;
+  r.add("x", 1.0);
+  EXPECT_THROW(r.write("/dev/full"), Error);
 }
 
 TEST(ParseScale, ErrorNamesTheFlag) {

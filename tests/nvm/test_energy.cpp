@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "mem/timing.hpp"
+#include "sim/pim_params.hpp"
 
 namespace pinatubo::nvm {
 namespace {
@@ -41,9 +43,12 @@ TEST_F(EnergyModelTest, WriteUsesSetResetMix) {
 }
 
 TEST_F(EnergyModelTest, IoDominatesOnChipMovement) {
-  // The PIM argument: off-chip I/O energy per bit >> internal movement.
-  EXPECT_GT(model_.io_pj(1), 10 * model_.gdl_pj(1));
-  EXPECT_GT(model_.gdl_pj(1), model_.logic_pj(1));
+  // The PIM argument, on the per-bit energies the simulator prices with:
+  // off-chip I/O > global-dataline movement > digital logic.
+  const sim::BufferPathParams path;
+  const mem::BusParams bus = mem::ddr3_1600_bus();
+  EXPECT_GT(bus.io_pj(1), path.gdl_pj_per_bit);
+  EXPECT_GT(path.gdl_pj_per_bit, path.logic_pj_per_bit);
 }
 
 TEST_F(EnergyModelTest, AnalogSensingBeatsDigitalPerOp) {
@@ -51,7 +56,7 @@ TEST_F(EnergyModelTest, AnalogSensingBeatsDigitalPerOp) {
   // the same order as a logic evaluation and far below I/O.
   const double sense_per_bit = model_.sense_pj(1, 2, 8.9);
   EXPECT_LT(sense_per_bit, 1.0);
-  EXPECT_LT(sense_per_bit, model_.io_pj(1));
+  EXPECT_LT(sense_per_bit, mem::ddr3_1600_bus().io_pj(1));
 }
 
 TEST_F(EnergyModelTest, WriteDominatesReadPerBit) {
