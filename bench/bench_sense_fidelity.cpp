@@ -98,21 +98,13 @@ std::vector<BitVector> sense_sequence(const mem::Geometry& g,
   return out;
 }
 
-unsigned parse_threads(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--threads" && i + 1 < argc)
-      return static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-    if (a.rfind("--threads=", 0) == 0)
-      return static_cast<unsigned>(std::strtoul(a.c_str() + 10, nullptr, 10));
-  }
-  return 0;  // pool default (PINATUBO_THREADS or hardware concurrency)
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = parse_threads(argc, argv);
+  // Absent: 0, the pool default (PINATUBO_THREADS or hardware concurrency).
+  const std::string threads_arg = bench::parse_path_arg(argc, argv, "threads");
+  const unsigned threads = parse_thread_count(
+      threads_arg.empty() ? "0" : threads_arg, "--threads");
   const std::string json_path = bench::parse_json_path(argc, argv);
   ThreadPool::set_global_threads(threads);
 

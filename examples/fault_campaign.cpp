@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
   }
   cfg.merge(Config::from_args(overrides));
   ThreadPool::set_global_threads(
-      static_cast<unsigned>(cfg.get_u64("threads", 0)));
+      parse_thread_count(cfg.get_or("threads", "0"), "threads"));
 
   reliability::Policy policy = reliability::policy_from_config(cfg);
   if (corrupt) {

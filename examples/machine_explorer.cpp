@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   // Functional-simulation pool size; 0 defers to PINATUBO_THREADS, then
   // hardware_concurrency (results are thread-count invariant).
   ThreadPool::set_global_threads(
-      static_cast<unsigned>(cfg.get_u64("threads", 0)));
+      parse_thread_count(cfg.get_or("threads", "0"), "threads"));
 
   const auto geo = mem::geometry_from_config(cfg);
   const auto tech = nvm::tech_from_string(cfg.get_or("tech", "pcm"));
@@ -157,6 +157,7 @@ int main(int argc, char** argv) {
               units::format_time(pim.cost().time_ns),
               units::format_energy(pim.cost().energy.total_pj())});
   br.add_note("bus bytes moved: " + units::format_bytes(st.bus_bytes));
+  br.add_note("energy by component: " + pim.cost().energy.to_string());
   br.print();
 
   if (trace.enabled()) {

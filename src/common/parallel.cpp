@@ -1,6 +1,7 @@
 #include "common/parallel.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <memory>
 
@@ -14,8 +15,8 @@ unsigned env_default_threads() {
   // NOLINTNEXTLINE(concurrency-mt-unsafe): read once, before any worker
   // thread exists — the result seeds the pool size under global_mu().
   if (const char* env = std::getenv("PINATUBO_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<unsigned>(v);
+    const unsigned v = parse_thread_count(env, "PINATUBO_THREADS");
+    if (v >= 1) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -127,6 +128,21 @@ void ThreadPool::set_global_threads(unsigned threads) {
 }
 
 unsigned ThreadPool::global_threads() { return global().size(); }
+
+unsigned parse_thread_count(const std::string& value,
+                            const std::string& source) {
+  // from_chars takes no sign, space or base prefix for an unsigned type.
+  unsigned long long v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v, 10);
+  PIN_CHECK_MSG(ptr == end && ec != std::errc::invalid_argument,
+                source << ": bad thread count '" << value
+                       << "' (want a decimal number, 0 = pool default)");
+  PIN_CHECK_MSG(ec == std::errc() && v <= kMaxThreads,
+                source << ": thread count " << value << " is above the cap of "
+                       << kMaxThreads);
+  return static_cast<unsigned>(v);
+}
 
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t, std::size_t)>& body,

@@ -11,13 +11,15 @@
 //
 // The process-wide pool is sized from (in priority order) set_global_threads,
 // the PINATUBO_THREADS environment variable, or hardware_concurrency.  The
-// benches and examples expose it as `--threads N` / config key `threads`.
+// benches and examples expose it as `--threads N` / config key `threads`;
+// every one of these sources is read through parse_thread_count.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -76,6 +78,16 @@ class ThreadPool {
   bool has_task_ = false;
   bool stop_ = false;
 };
+
+/// Largest thread count a flag, config key or PINATUBO_THREADS may ask for.
+inline constexpr unsigned kMaxThreads = 1024;
+
+/// Parses a thread count read from `source` (the flag, config key or
+/// environment variable, named in the diagnostic).  The whole string must
+/// be an unsigned decimal number; 0 means the pool default.  Throws Error
+/// on anything else or on a value above kMaxThreads.
+unsigned parse_thread_count(const std::string& value,
+                            const std::string& source);
 
 /// Shorthand for ThreadPool::global().parallel_for with a default grain.
 void parallel_for(std::size_t begin, std::size_t end,

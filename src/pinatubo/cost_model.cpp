@@ -47,7 +47,7 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
   const double width = static_cast<double>(hw_bits);
   const double ones = width * result_density_;
   const double zeros = width - ones;
-  cost.energy.add("ctrl.cmd",
+  cost.energy.add(mem::Energy::kCtrlCmd,
                   static_cast<double>(command_count(s)) * energy_.command_pj());
 
   switch (s.kind) {
@@ -60,11 +60,12 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
       // Wordline energy: every opened row slice in every bank and chip.
       const double slices = static_cast<double>(s.rows) *
                             geo_.banks_per_chip * geo_.chips_per_rank;
-      cost.energy.add("pim.activate", slices * energy_.activate_row_pj());
-      cost.energy.add("pim.sense",
+      cost.energy.add(mem::Energy::kPimActivate,
+                      slices * energy_.activate_row_pj());
+      cost.energy.add(mem::Energy::kPimSense,
                       energy_.sense_pj(hw_bits, s.rows, timing_.t_cl_ns));
       if (s.writeback)
-        cost.energy.add("pim.write",
+        cost.energy.add(mem::Energy::kPimWrite,
                         energy_.write_pj(static_cast<std::uint64_t>(ones),
                                          static_cast<std::uint64_t>(zeros)));
       return cost;
@@ -78,18 +79,20 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
       const double read_pj_bit =
           energy_.sense_pj(1, 1, timing_.t_cl_ns) + path_.gdl_pj_per_bit +
           path_.latch_pj_per_bit;
-      cost.energy.add("pim.buffer.read", 2.0 * width * read_pj_bit);
-      cost.energy.add("pim.buffer.logic", width * path_.logic_pj_per_bit);
+      cost.energy.add(mem::Energy::kPimBufferRead, 2.0 * width * read_pj_bit);
+      cost.energy.add(mem::Energy::kPimBufferLogic,
+                      width * path_.logic_pj_per_bit);
       if (s.writeback) {
-        cost.energy.add("pim.write",
+        cost.energy.add(mem::Energy::kPimWrite,
                         energy_.write_pj(static_cast<std::uint64_t>(ones),
                                          static_cast<std::uint64_t>(zeros)));
-        cost.energy.add("pim.buffer.wb", width * path_.gdl_pj_per_bit);
+        cost.energy.add(mem::Energy::kPimBufferWb,
+                        width * path_.gdl_pj_per_bit);
       }
       if (s.kind == StepKind::kInterBank && s.crosses_rank) {
         // One operand hops over the DDR bus between ranks.
         t += width / 8.0 / bus_.data_gbps;
-        cost.energy.add("bus.io", bus_.io_pj(hw_bits));
+        cost.energy.add(mem::Energy::kBusIo, bus_.io_pj(hw_bits));
       }
       cost.time_ns = t;
       return cost;
@@ -98,7 +101,7 @@ mem::Cost PinatuboCostModel::step_cost(const PlanStep& s) const {
       // Result already latched; burst it to the CPU.
       const double bytes = static_cast<double>(s.bits) / 8.0;
       cost.time_ns = t_cmds + bytes / bus_.data_gbps;
-      cost.energy.add("bus.io", bus_.io_pj(s.bits));
+      cost.energy.add(mem::Energy::kBusIo, bus_.io_pj(s.bits));
       return cost;
     }
   }

@@ -26,7 +26,7 @@ struct Node {
   std::uint32_t plan = 0;
   std::uint32_t step = 0;
   const PlanStep* s = nullptr;
-  mem::Cost cost;
+  double time_ns = 0.0;              ///< the step's priced time
   std::vector<std::uint32_t> succ;   ///< steps that must wait for this one
   std::uint32_t pending = 0;         ///< unscheduled predecessors
   double ready_ns = 0.0;             ///< max completion of predecessors
@@ -58,25 +58,23 @@ ExecutionEngine::Result ExecutionEngine::run(
       n.plan = p;
       n.step = i;
       n.s = &plans[p].steps[i];
-      n.cost = model_->step_cost(*n.s);
+      const mem::Cost cost = model_->step_cost(*n.s);
+      n.time_ns = cost.time_ns;
+      const std::size_t k = step_index(n.s->kind);
+      res.profile.time_ns[k] += cost.time_ns;
+      res.profile.energy_pj[k] += cost.energy.total_pj();
+      res.profile.steps[k] += 1;
+      res.profile.bus_bytes += model_->step_bus_bytes(*n.s);
+      res.serial_time_ns += cost.time_ns;
+      res.cost.energy.merge(cost.energy);  // energy is schedule-invariant
       nodes.push_back(std::move(n));
     }
-
-  for (const Node& n : nodes) {
-    const std::size_t k = step_index(n.s->kind);
-    res.profile.time_ns[k] += n.cost.time_ns;
-    res.profile.energy_pj[k] += n.cost.energy.total_pj();
-    res.profile.steps[k] += 1;
-    res.profile.bus_bytes += model_->step_bus_bytes(*n.s);
-    res.serial_time_ns += n.cost.time_ns;
-    res.cost.energy.merge(n.cost.energy);  // energy is schedule-invariant
-  }
 
   const auto burst_ns = [&](const Node& n) {
     const std::uint64_t bytes = model_->step_bus_bytes(*n.s);
     if (bytes == 0) return 0.0;
     return std::min(static_cast<double>(bytes) / model_->bus().data_gbps,
-                    n.cost.time_ns);
+                    n.time_ns);
   };
 
   if (opts_.serial) {
@@ -84,7 +82,7 @@ ExecutionEngine::Result ExecutionEngine::run(
     double now = 0.0;
     res.schedule.reserve(nodes.size());
     for (const Node& n : nodes) {
-      const double done = now + n.cost.time_ns;
+      const double done = now + n.time_ns;
       res.schedule.push_back({n.plan, n.step, now, done, burst_ns(n)});
       now = done;
     }
@@ -201,13 +199,13 @@ ExecutionEngine::Result ExecutionEngine::run(
       if (bytes > 0) {
         // The trailing data burst serializes on the channel's shared DDR
         // bus; the bank-cluster part of the step occupies the rank.
-        const double occupy = std::max(0.0, n.cost.time_ns - burst);
+        const double occupy = std::max(0.0, n.time_ns - burst);
         done = timers[c].issue_data_after(s.rank, n.ready_ns, occupy, bytes);
       } else {
-        done = timers[c].issue_after(s.rank, n.ready_ns, n.cost.time_ns);
+        done = timers[c].issue_after(s.rank, n.ready_ns, n.time_ns);
       }
       sched.push_back({pick_start, i,
-                       {n.plan, n.step, done - n.cost.time_ns, done, burst}});
+                       {n.plan, n.step, done - n.time_ns, done, burst}});
       ++issued;
       for (std::uint32_t sidx : n.succ) {
         Node& t = nodes[sidx];

@@ -45,17 +45,17 @@ mem::Cost AcPimBackend::op_cost(BitOp op, std::size_t n_operands,
       (energy_.write_pj(1, 0) * result_density +
        energy_.write_pj(0, 1) * (1.0 - result_density)) +
       path_.gdl_pj_per_bit;
-  cost.energy.add("acpim.read", steps * 2.0 * width * read_pj);
-  cost.energy.add("acpim.logic", steps * width * logic_pj);
-  cost.energy.add("acpim.write", steps * width * write_pj_bit);
-  cost.energy.add("ctrl.cmd",
+  cost.energy.add(mem::Energy::kAcpimRead, steps * 2.0 * width * read_pj);
+  cost.energy.add(mem::Energy::kAcpimLogic, steps * width * logic_pj);
+  cost.energy.add(mem::Energy::kAcpimWrite, steps * width * write_pj_bit);
+  cost.energy.add(mem::Energy::kCtrlCmd,
                   static_cast<double>(groups) * steps * 4.0 *
                       energy_.command_pj() * geo_.banks_per_chip);
 
   if (host_reads_result) {
     const auto bus = mem::ddr3_1600_bus();
     cost.time_ns += width / 8.0 / bus.data_gbps;
-    cost.energy.add("bus.io", bus.io_pj(bits));
+    cost.energy.add(mem::Energy::kBusIo, bus.io_pj(bits));
   }
   return cost;
 }

@@ -13,9 +13,13 @@ CacheLevel::CacheLevel(const CacheLevelConfig& cfg) : cfg_(cfg) {
   PIN_CHECK(cfg.line_bytes > 0 && std::has_single_bit(cfg.line_bytes));
   const std::uint64_t lines = cfg.size_bytes / cfg.line_bytes;
   PIN_CHECK_MSG(lines % cfg.associativity == 0,
-                cfg.name << ": lines not divisible by associativity");
+                cfg.size_bytes << " B " << cfg.associativity
+                               << "-way cache: lines not divisible by "
+                                  "associativity");
   n_sets_ = lines / cfg.associativity;
-  PIN_CHECK_MSG(std::has_single_bit(n_sets_), cfg.name << ": sets not 2^k");
+  PIN_CHECK_MSG(std::has_single_bit(n_sets_),
+                cfg.size_bytes << " B " << cfg.associativity
+                               << "-way cache: sets not 2^k");
   ways_.resize(lines);
 }
 
@@ -100,10 +104,6 @@ const CacheLevel& CacheHierarchy::level(unsigned i) const {
   return levels_[i];
 }
 
-std::vector<std::uint64_t> CacheHierarchy::served_lines() const {
-  return served_;
-}
-
 unsigned CacheHierarchy::line_bytes() const {
   return levels_.front().config().line_bytes;
 }
@@ -122,9 +122,9 @@ void CacheHierarchy::flush() {
 
 std::vector<CacheLevelConfig> haswell_cache_config() {
   return {
-      {"L1", 32 * 1024, 8, kHaswellLineBytes, 1.2, 60, 400.0},
-      {"L2", 256 * 1024, 8, kHaswellLineBytes, 3.6, kHaswellL2HitPj, 200.0},
-      {"L3", 6 * 1024 * 1024, 12, kHaswellLineBytes, 12.0, 1000, 100.0},
+      {32 * 1024, 8, kHaswellLineBytes, 60, 400.0},                // L1
+      {256 * 1024, 8, kHaswellLineBytes, kHaswellL2HitPj, 200.0},  // L2
+      {6 * 1024 * 1024, 12, kHaswellLineBytes, 1000, 100.0},       // L3
   };
 }
 

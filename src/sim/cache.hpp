@@ -6,17 +6,14 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace pinatubo::sim {
 
 struct CacheLevelConfig {
-  std::string name;
   std::uint64_t size_bytes = 0;
   unsigned associativity = 8;
   unsigned line_bytes = 64;
-  double hit_latency_ns = 1.0;
   double hit_energy_pj = 100.0;   ///< per line access
   double bandwidth_gbps = 100.0;  ///< aggregate sustained
 };
@@ -69,7 +66,7 @@ class CacheHierarchy {
   unsigned levels() const { return static_cast<unsigned>(levels_.size()); }
   const CacheLevel& level(unsigned i) const;
   /// Lines served by each level since reset; index levels() = memory.
-  std::vector<std::uint64_t> served_lines() const;
+  const std::vector<std::uint64_t>& served_lines() const { return served_; }
   std::uint64_t memory_lines() const { return memory_lines_; }
   std::uint64_t write_lines() const { return write_lines_; }
   unsigned line_bytes() const;

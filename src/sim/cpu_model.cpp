@@ -1,6 +1,7 @@
 #include "sim/cpu_model.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.hpp"
 
@@ -10,6 +11,14 @@ namespace {
 /// Above this many line accesses an op cannot have cache reuse (the
 /// operands dwarf the LLC), so the closed-form streaming path is exact.
 constexpr std::uint64_t kDirectPathAccesses = 1u << 20;
+
+/// Cache levels with an energy component (cpu.L1, cpu.L2, cpu.L3).
+constexpr unsigned kCacheEnergyLevels = 3;
+
+mem::Energy cache_component(unsigned level) {
+  return static_cast<mem::Energy>(
+      static_cast<unsigned>(mem::Energy::kCpuL1) + level);
+}
 
 /// Virtual base address for a logical vector id: ids get disjoint, line-
 /// aligned arenas so cache behaviour matches a real allocator's.
@@ -55,7 +64,10 @@ double SimdCpuModel::compute_gbps() const {
 mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
   PIN_CHECK(!op.srcs.empty());
   PIN_CHECK(op.bits > 0);
-  if (!cache_) cache_.emplace(haswell_cache_config());
+  if (!cache_) {
+    cache_.emplace(haswell_cache_config());
+    PIN_CHECK(cache_->levels() <= kCacheEnergyLevels);
+  }
   CacheHierarchy& cache = *cache_;
   const std::uint64_t line = cache.line_bytes();
   // Word-aligned footprint: the host kernels (BitVector) process whole
@@ -71,7 +83,7 @@ mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
   if (accesses > kDirectPathAccesses) {
     // Streaming: every source line comes from memory, every dst line is
     // write-allocated and eventually written back.
-    std::vector<std::uint64_t> served(cache.levels() + 1, 0);
+    std::array<std::uint64_t, kCacheEnergyLevels + 1> served{};
     served[cache.levels()] = accesses;
     return price(processed, served, lines * op.srcs.size() + lines, lines);
   }
@@ -85,7 +97,7 @@ mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
   // Dirty dst lines that will eventually be written back: approximate as
   // the dst lines that missed everywhere (streaming stores); cached dst
   // lines get rewritten in place.
-  const auto served = cache.served_lines();
+  const auto& served = cache.served_lines();
   const std::uint64_t mem_lines = cache.memory_lines();
   // Split memory traffic: dst allocations among the misses cause
   // writebacks; assume misses distribute evenly across streams.
@@ -94,19 +106,19 @@ mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
 }
 
 mem::Cost SimdCpuModel::price(std::uint64_t processed_bytes,
-                              const std::vector<std::uint64_t>& served_lines,
+                              std::span<const std::uint64_t> served_lines,
                               std::uint64_t mem_read_lines,
                               std::uint64_t mem_write_lines) const {
   const CacheHierarchy& cache = *cache_;  // built by bulk_op, the only caller
   const double line = cache.line_bytes();
   double t = static_cast<double>(processed_bytes) / compute_gbps();
-  mem::EnergyCounter energy;
+  mem::Cost cost;
   for (unsigned l = 0; l < cache.levels(); ++l) {
     const auto& cfg = cache.level(l).config();
     const double bytes = static_cast<double>(served_lines[l]) * line;
     t = std::max(t, bytes / cfg.bandwidth_gbps);
-    energy.add("cpu." + cfg.name,
-               static_cast<double>(served_lines[l]) * cfg.hit_energy_pj);
+    cost.energy.add(cache_component(l),
+                    static_cast<double>(served_lines[l]) * cfg.hit_energy_pj);
   }
   const double rd_bytes = static_cast<double>(mem_read_lines) * line;
   const double wr_bytes = static_cast<double>(mem_write_lines) * line;
@@ -116,13 +128,13 @@ mem::Cost SimdCpuModel::price(std::uint64_t processed_bytes,
   // the binding constraint for the paper's single-threaded kernels.
   t = std::max(t, static_cast<double>(mem_read_lines) *
                       mem_params_.latency_ns / (cfg_.mlp * cfg_.bulk_cores));
-  energy.add("mem.read", rd_bytes * 8.0 * mem_params_.read_pj_per_bit);
-  energy.add("mem.write", wr_bytes * 8.0 * mem_params_.write_pj_per_bit);
-  energy.add("cpu.core", cfg_.active_power_w * t * 1e3);  // W * ns -> pJ
-
-  mem::Cost cost;
+  cost.energy.add(mem::Energy::kMemRead,
+                  rd_bytes * 8.0 * mem_params_.read_pj_per_bit);
+  cost.energy.add(mem::Energy::kMemWrite,
+                  wr_bytes * 8.0 * mem_params_.write_pj_per_bit);
+  cost.energy.add(mem::Energy::kCpuCore,
+                  cfg_.active_power_w * t * 1e3);  // W * ns -> pJ
   cost.time_ns = t;
-  cost.energy = energy;
   return cost;
 }
 
@@ -134,12 +146,15 @@ mem::Cost SimdCpuModel::scalar(std::uint64_t ops, std::uint64_t bytes) const {
       static_cast<double>(bytes) * cfg_.scalar_miss_fraction;
   const double t_mem = miss_bytes / mem_params_.read_gbps;
   cost.time_ns = t_compute + t_mem;
-  cost.energy.add("cpu.core", cfg_.scalar_power_w * cost.time_ns * 1e3);
-  cost.energy.add("mem.read", miss_bytes * 8.0 * mem_params_.read_pj_per_bit);
+  cost.energy.add(mem::Energy::kCpuCore,
+                  cfg_.scalar_power_w * cost.time_ns * 1e3);
+  cost.energy.add(mem::Energy::kMemRead,
+                  miss_bytes * 8.0 * mem_params_.read_pj_per_bit);
   // Cached portion still pays cache energy (cheap, L2-class).
-  cost.energy.add("cpu.L2",
-                  static_cast<double>(bytes) * (1.0 - cfg_.scalar_miss_fraction) /
-                      kHaswellLineBytes * kHaswellL2HitPj);
+  cost.energy.add(mem::Energy::kCpuL2,
+                  static_cast<double>(bytes) *
+                      (1.0 - cfg_.scalar_miss_fraction) / kHaswellLineBytes *
+                      kHaswellL2HitPj);
   return cost;
 }
 

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "mem/energy.hpp"
 #include "sim/backend.hpp"
@@ -83,7 +84,7 @@ class SimdCpuModel {
 
  private:
   mem::Cost price(std::uint64_t processed_bytes,
-                  const std::vector<std::uint64_t>& served_lines,
+                  std::span<const std::uint64_t> served_lines,
                   std::uint64_t mem_read_lines,
                   std::uint64_t mem_write_lines) const;
 

@@ -38,14 +38,15 @@ mem::Cost SdramBackend::op_cost(std::size_t n_operands, std::uint64_t bits,
   const double e_group = steps_aap * 2.0 * bits_per_group * act_pj +
                          steps_tra * dram_.tra_row_factor * bits_per_group *
                              act_pj;
-  cost.energy.add("dram.act", static_cast<double>(groups) * e_group);
+  cost.energy.add(mem::Energy::kDramAct,
+                  static_cast<double>(groups) * e_group);
 
   if (host_reads_result) {
     const auto bus = mem::ddr3_1600_bus();
     const double bytes = static_cast<double>(bits) / 8.0;
     cost.time_ns += bytes / bus.data_gbps;
     // Off-chip transfer energy (the same DDR3 bus as the NVM machine's).
-    cost.energy.add("bus.io", bus.io_pj(bits));
+    cost.energy.add(mem::Energy::kBusIo, bus.io_pj(bits));
   }
   return cost;
 }

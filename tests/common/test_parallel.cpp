@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -92,6 +93,39 @@ TEST(ParallelFor, FreeFunctionUsesGlobalPool) {
     for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParseThreadCount, AcceptsDecimalUpToTheCap) {
+  EXPECT_EQ(parse_thread_count("0", "--threads"), 0u);  // pool default
+  EXPECT_EQ(parse_thread_count("4", "--threads"), 4u);
+  EXPECT_EQ(parse_thread_count("007", "threads"), 7u);
+  EXPECT_EQ(parse_thread_count("1024", "PINATUBO_THREADS"), kMaxThreads);
+}
+
+TEST(ParseThreadCount, RejectsAnythingButTheWholeNumber) {
+  for (const char* bad :
+       {"", "abc", "4x", "-1", "+4", " 4", "4 ", "0x10", "1e3", "4.0"})
+    EXPECT_THROW(parse_thread_count(bad, "--threads"), Error) << bad;
+}
+
+TEST(ParseThreadCount, RejectsValuesAboveTheCap) {
+  // 4294967297 wraps to 1 through a cast to unsigned; it must not.
+  for (const char* big :
+       {"1025", "4294967297", "99999999999999999999999999"})
+    EXPECT_THROW(parse_thread_count(big, "threads"), Error) << big;
+}
+
+TEST(ParseThreadCount, DiagnosticNamesTheSource) {
+  for (const char* bad : {"4x", "5000"}) {
+    try {
+      parse_thread_count(bad, "PINATUBO_THREADS");
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("PINATUBO_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 namespace pinatubo::core {
 namespace {
 
+using mem::Energy;
+
 class CostModelTest : public ::testing::Test {
  protected:
   CostModelTest()
@@ -68,18 +70,19 @@ TEST_F(CostModelTest, ColumnStepsAddSensingTime) {
 TEST_F(CostModelTest, EnergyComponentsPresent) {
   const auto plan = plan_or(2, 1ull << 14);
   const auto cost = model_.plan_cost(plan);
-  EXPECT_GT(cost.energy.get("pim.activate"), 0);
-  EXPECT_GT(cost.energy.get("pim.sense"), 0);
-  EXPECT_GT(cost.energy.get("pim.write"), 0);
-  EXPECT_GT(cost.energy.get("ctrl.cmd"), 0);
-  EXPECT_EQ(cost.energy.get("bus.io"), 0);  // nothing crossed the bus
+  EXPECT_GT(cost.energy.get(Energy::kPimActivate), 0);
+  EXPECT_GT(cost.energy.get(Energy::kPimSense), 0);
+  EXPECT_GT(cost.energy.get(Energy::kPimWrite), 0);
+  EXPECT_GT(cost.energy.get(Energy::kCtrlCmd), 0);
+  EXPECT_EQ(cost.energy.get(Energy::kBusIo), 0);  // nothing crossed the bus
 }
 
 TEST_F(CostModelTest, WriteDominatesIntraEnergy) {
   // NVM asymmetry: the result write dwarfs analog sensing.
   const auto plan = plan_or(2, 1ull << 19);
   const auto cost = model_.plan_cost(plan);
-  EXPECT_GT(cost.energy.get("pim.write"), 5 * cost.energy.get("pim.sense"));
+  EXPECT_GT(cost.energy.get(Energy::kPimWrite),
+            5 * cost.energy.get(Energy::kPimSense));
 }
 
 TEST_F(CostModelTest, MultiRowAmortizesWrites) {
@@ -121,7 +124,7 @@ TEST_F(CostModelTest, CrossRankAddsBusTimeAndEnergy) {
   const auto plan = sched_.plan(BitOp::kOr, {a, b}, near, false);
   ASSERT_EQ(plan.steps[0].kind, StepKind::kInterBank);
   const auto cost = model_.plan_cost(plan);
-  EXPECT_GT(cost.energy.get("bus.io"), 0);
+  EXPECT_GT(cost.energy.get(Energy::kBusIo), 0);
 }
 
 TEST_F(CostModelTest, HostReadPaysBusBandwidth) {
@@ -133,7 +136,7 @@ TEST_F(CostModelTest, HostReadPaysBusBandwidth) {
                     model_.plan_cost(without).time_ns;
   // 64 KiB at 12.8 GB/s = 5120 ns (plus read commands).
   EXPECT_GT(dt, 5000.0);
-  EXPECT_GT(model_.plan_cost(with).energy.get("bus.io"), 0);
+  EXPECT_GT(model_.plan_cost(with).energy.get(Energy::kBusIo), 0);
 }
 
 TEST_F(CostModelTest, LoweringMatchesCommandCount) {
@@ -157,12 +160,44 @@ TEST_F(CostModelTest, LoweredStreamShape) {
   EXPECT_EQ(cmds[7].kind, mem::CmdKind::kPimWriteback);
 }
 
+TEST_F(CostModelTest, GoldenStepTotalsPerKind) {
+  // One step of each kind, pinned as exact doubles: any change to a
+  // component or to the order total_pj() sums them in moves these.
+  struct Golden {
+    StepKind kind;
+    unsigned rows, col_steps;
+    bool writeback, crosses_rank;
+    double time_ns, total_pj;
+  };
+  const Golden golden[] = {
+      {StepKind::kIntraSub, 4, 3, true, false, 0x1.8f66666666666p+7,
+       0x1.8e1ce098915bdp+19},
+      {StepKind::kInterSub, 2, 2, true, false, 0x1.bfe6666666666p+7,
+       0x1.7e300032db1eap+19},
+      {StepKind::kInterBank, 2, 2, true, true, 0x1.0ff999999999ap+9,
+       0x1.4f1800196d8f5p+20},
+      {StepKind::kHostRead, 1, 1, false, false, 0x1.54p+7, 0x1.200ap+18},
+  };
+  for (const Golden& g : golden) {
+    PlanStep s;
+    s.kind = g.kind;
+    s.rows = g.rows;
+    s.col_steps = g.col_steps;
+    s.bits = g.col_steps * geo_.sense_step_bits();
+    s.writeback = g.writeback;
+    s.crosses_rank = g.crosses_rank;
+    const auto cost = model_.step_cost(s);
+    EXPECT_EQ(cost.time_ns, g.time_ns) << to_string(g.kind);
+    EXPECT_EQ(cost.energy.total_pj(), g.total_pj) << to_string(g.kind);
+  }
+}
+
 TEST_F(CostModelTest, DensityDrivesWriteEnergy) {
   PinatuboCostModel dense(geo_, nvm::Tech::kPcm, 1.0);
   PinatuboCostModel sparse(geo_, nvm::Tech::kPcm, 0.0);
   const auto plan = plan_or(2, 1ull << 14);
-  const double set_e = dense.plan_cost(plan).energy.get("pim.write");
-  const double reset_e = sparse.plan_cost(plan).energy.get("pim.write");
+  const double set_e = dense.plan_cost(plan).energy.get(Energy::kPimWrite);
+  const double reset_e = sparse.plan_cost(plan).energy.get(Energy::kPimWrite);
   const auto& cell = nvm::cell_params(nvm::Tech::kPcm);
   EXPECT_NEAR(set_e / reset_e, cell.set_energy_pj / cell.reset_energy_pj,
               1e-6);

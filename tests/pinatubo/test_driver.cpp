@@ -7,6 +7,8 @@
 namespace pinatubo::core {
 namespace {
 
+using mem::Energy;
+
 class DriverTest : public ::testing::Test {
  protected:
   PimRuntime rt_;
@@ -157,7 +159,7 @@ TEST_F(DriverTest, HostReadFlagCountsBusTransfer) {
   const auto hd = rt_.pim_malloc(1ull << 14);
   rt_.pim_op(BitOp::kOr, {ha, hb}, hd, /*host_reads_result=*/true);
   EXPECT_EQ(rt_.stats().host_reads, 1u);
-  EXPECT_GT(rt_.cost().energy.get("bus.io"), 0.0);
+  EXPECT_GT(rt_.cost().energy.get(Energy::kBusIo), 0.0);
 }
 
 TEST_F(DriverTest, FreeAndReuse) {

@@ -9,6 +9,8 @@
 namespace pinatubo::sim {
 namespace {
 
+using mem::Energy;
+
 TraceOp make_op(BitOp op, unsigned n, std::uint64_t bits) {
   TraceOp t;
   t.op = op;
@@ -75,11 +77,24 @@ TEST(AcPimBackend, SupportsAllOps) {
 TEST(AcPimBackend, EnergyComponents) {
   AcPimBackend b;
   const auto c = b.op_cost(BitOp::kOr, 2, 1ull << 19, false, 0.5);
-  EXPECT_GT(c.energy.get("acpim.read"), 0.0);
-  EXPECT_GT(c.energy.get("acpim.logic"), 0.0);
-  EXPECT_GT(c.energy.get("acpim.write"), 0.0);
+  EXPECT_GT(c.energy.get(Energy::kAcpimRead), 0.0);
+  EXPECT_GT(c.energy.get(Energy::kAcpimLogic), 0.0);
+  EXPECT_GT(c.energy.get(Energy::kAcpimWrite), 0.0);
   // The PCM write of the intermediate dominates its energy.
-  EXPECT_GT(c.energy.get("acpim.write"), c.energy.get("acpim.logic"));
+  EXPECT_GT(c.energy.get(Energy::kAcpimWrite),
+            c.energy.get(Energy::kAcpimLogic));
+}
+
+TEST(Backends, GoldenOpCostTotals) {
+  // Pinned as exact doubles: any change to a component or to the order
+  // total_pj() sums them in moves these.
+  const auto sdram = SdramBackend().op_cost(3, 1ull << 20, true);
+  EXPECT_EQ(sdram.time_ns, 0x1.5248p+13);
+  EXPECT_EQ(sdram.energy.total_pj(), 0x1.6570a3d70a3d7p+24);
+  const auto acpim =
+      AcPimBackend().op_cost(BitOp::kOr, 3, 1ull << 20, true, 0.5);
+  EXPECT_EQ(acpim.time_ns, 0x1.9376666666666p+13);
+  EXPECT_EQ(acpim.energy.total_pj(), 0x1.071710196d8f5p+26);
 }
 
 TEST(AcPimBackend, SlowerThanSdramPerOp) {

@@ -7,12 +7,12 @@
 namespace pinatubo::sim {
 namespace {
 
-CacheLevelConfig tiny(const char* name, std::uint64_t size, unsigned assoc) {
-  return {name, size, assoc, 64, 1.0, 100.0, 100.0};
+CacheLevelConfig tiny(std::uint64_t size, unsigned assoc) {
+  return {size, assoc, 64, 100.0, 100.0};
 }
 
 TEST(CacheLevel, HitAfterInstall) {
-  CacheLevel l(tiny("L1", 1024, 2));
+  CacheLevel l(tiny(1024, 2));
   EXPECT_FALSE(l.access(5));
   l.install(5);
   EXPECT_TRUE(l.access(5));
@@ -22,7 +22,7 @@ TEST(CacheLevel, HitAfterInstall) {
 
 TEST(CacheLevel, LruEviction) {
   // 1024 B / 64 B = 16 lines, 2-way -> 8 sets.  Lines 0, 8, 16 map to set 0.
-  CacheLevel l(tiny("L1", 1024, 2));
+  CacheLevel l(tiny(1024, 2));
   l.install(0);
   l.install(8);
   l.access(0);        // 0 becomes MRU
@@ -33,32 +33,32 @@ TEST(CacheLevel, LruEviction) {
 }
 
 TEST(CacheLevel, InstallReportsVictim) {
-  CacheLevel l(tiny("L1", 128, 1));  // 2 sets, direct-mapped
+  CacheLevel l(tiny(128, 1));  // 2 sets, direct-mapped
   EXPECT_EQ(l.install(0), -1);
   EXPECT_EQ(l.install(2), 0);  // same set, evicts 0
 }
 
 TEST(CacheLevel, InvalidateRemoves) {
-  CacheLevel l(tiny("L1", 1024, 2));
+  CacheLevel l(tiny(1024, 2));
   l.install(3);
   l.invalidate(3);
   EXPECT_FALSE(l.access(3));
 }
 
 TEST(CacheLevel, ConfigValidation) {
-  EXPECT_THROW(CacheLevel(tiny("bad", 0, 1)), Error);
-  EXPECT_THROW(CacheLevel(tiny("bad", 1000, 3)), Error);  // sets not 2^k
+  EXPECT_THROW(CacheLevel(tiny(0, 1)), Error);
+  EXPECT_THROW(CacheLevel(tiny(1000, 3)), Error);  // sets not 2^k
 }
 
 TEST(CacheHierarchy, ServesFromClosestLevel) {
-  CacheHierarchy h({tiny("L1", 1024, 2), tiny("L2", 8192, 4)});
+  CacheHierarchy h({tiny(1024, 2), tiny(8192, 4)});
   EXPECT_EQ(h.access(0, false).served_by_level, 2u);  // memory
   EXPECT_EQ(h.access(0, false).served_by_level, 0u);  // L1 now
   EXPECT_EQ(h.memory_lines(), 1u);
 }
 
 TEST(CacheHierarchy, L2CatchesL1Evictions) {
-  CacheHierarchy h({tiny("L1", 128, 1), tiny("L2", 8192, 4)});
+  CacheHierarchy h({tiny(128, 1), tiny(8192, 4)});
   h.access(0 * 64, false);
   h.access(2 * 64, false);  // evicts line 0 from L1 (same set), still in L2
   const auto r = h.access(0 * 64, false);
@@ -113,7 +113,7 @@ void drive(CacheHierarchy& h, std::uint64_t seed, std::uint64_t n,
 TEST(CacheHierarchy, FlushMatchesFresh) {
   const std::vector<std::vector<CacheLevelConfig>> configs = {
       haswell_cache_config(),
-      {tiny("L1", 1024, 2), tiny("L2", 4096, 4)},
+      {tiny(1024, 2), tiny(4096, 4)},
   };
   for (const auto& cfg : configs) {
     CacheHierarchy used(cfg);

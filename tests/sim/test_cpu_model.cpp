@@ -7,6 +7,8 @@
 namespace pinatubo::sim {
 namespace {
 
+using mem::Energy;
+
 TraceOp or2(std::uint64_t bits, std::uint64_t base_id = 0) {
   TraceOp op;
   op.op = BitOp::kOr;
@@ -52,7 +54,7 @@ TEST(SimdCpuModel, CacheResidentOpIsFast) {
   cpu.bulk_op(or2(bits));                 // warm
   const auto warm = cpu.bulk_op(or2(bits));
   // Served from caches: no memory reads.
-  EXPECT_EQ(warm.energy.get("mem.read"), 0.0);
+  EXPECT_EQ(warm.energy.get(Energy::kMemRead), 0.0);
   // And much faster than the same op streamed from memory.
   SimdCpuModel cold({}, MemKind::kDram);
   const auto first = cold.bulk_op(or2(bits));
@@ -71,11 +73,12 @@ TEST(SimdCpuModel, PcmWritePenaltyShows) {
 TEST(SimdCpuModel, EnergyHasCoreAndMemoryParts) {
   SimdCpuModel cpu({}, MemKind::kPcm);
   const auto cost = cpu.bulk_op(or2(1ull << 26));
-  EXPECT_GT(cost.energy.get("cpu.core"), 0.0);
-  EXPECT_GT(cost.energy.get("mem.read"), 0.0);
-  EXPECT_GT(cost.energy.get("mem.write"), 0.0);
+  EXPECT_GT(cost.energy.get(Energy::kCpuCore), 0.0);
+  EXPECT_GT(cost.energy.get(Energy::kMemRead), 0.0);
+  EXPECT_GT(cost.energy.get(Energy::kMemWrite), 0.0);
   // Core power dominates on streaming kernels (40 W for the whole op).
-  EXPECT_GT(cost.energy.get("cpu.core"), cost.energy.get("mem.read"));
+  EXPECT_GT(cost.energy.get(Energy::kCpuCore),
+            cost.energy.get(Energy::kMemRead));
 }
 
 TEST(SimdCpuModel, MultiOperandScalesLinearly) {
@@ -95,10 +98,10 @@ TEST(SimdCpuModel, ScalarCost) {
   const auto c = cpu.scalar(6'600'000, 0);
   // 6.6e6 ops at 2 IPC, 3.3 GHz -> 1 ms.
   EXPECT_NEAR(c.time_ns, 1e6, 1e3);
-  EXPECT_GT(c.energy.get("cpu.core"), 0.0);
+  EXPECT_GT(c.energy.get(Energy::kCpuCore), 0.0);
   const auto with_mem = cpu.scalar(1000, 1 << 20);
   EXPECT_GT(with_mem.time_ns, c.time_ns / 1000);
-  EXPECT_GT(with_mem.energy.get("mem.read"), 0.0);
+  EXPECT_GT(with_mem.energy.get(Energy::kMemRead), 0.0);
 }
 
 TEST(SimdCpuModel, ScalarPricingIgnoresTheCache) {
@@ -119,9 +122,9 @@ TEST(SimdCpuModel, ScalarPricingIgnoresTheCache) {
     const auto c = fresh.scalar(6'600'000, 1 << 20);
     EXPECT_EQ(c.time_ns, g.time_ns);
     EXPECT_EQ(c.energy.total_pj(), g.total_pj);
-    EXPECT_EQ(c.energy.get("cpu.core"), g.core_pj);
-    EXPECT_EQ(c.energy.get("mem.read"), g.read_pj);
-    EXPECT_EQ(c.energy.get("cpu.L2"), g.l2_pj);
+    EXPECT_EQ(c.energy.get(Energy::kCpuCore), g.core_pj);
+    EXPECT_EQ(c.energy.get(Energy::kMemRead), g.read_pj);
+    EXPECT_EQ(c.energy.get(Energy::kCpuL2), g.l2_pj);
 
     SimdCpuModel used({}, g.kind);
     used.bulk_op(or2(1 << 20));
@@ -131,6 +134,23 @@ TEST(SimdCpuModel, ScalarPricingIgnoresTheCache) {
     EXPECT_EQ(u.energy.to_string(), c.energy.to_string());
     EXPECT_EQ(u.energy.total_pj(), c.energy.total_pj());
   }
+}
+
+TEST(SimdCpuModel, GoldenBulkOpTotals) {
+  // A walked op served from the caches and a streaming op, pinned as exact
+  // doubles: any change to the per-level cache components or to the order
+  // total_pj() sums them in moves these.
+  SimdCpuModel dram({}, MemKind::kDram);
+  dram.bulk_op(or2(1ull << 18));  // 32 KiB operands: warm L2/L3
+  const auto cached = dram.bulk_op(or2(1ull << 18));
+  EXPECT_GT(cached.energy.get(Energy::kCpuL2), 0.0);
+  EXPECT_EQ(cached.time_ns, 0x1.364d9364d9365p+10);
+  EXPECT_EQ(cached.energy.total_pj(), 0x1.7e4db26c9b26dp+25);
+
+  SimdCpuModel pcm({}, MemKind::kPcm);
+  const auto stream = pcm.bulk_op(or2(1ull << 28));  // 32 MiB operands
+  EXPECT_EQ(stream.time_ns, 0x1.a4p+24);
+  EXPECT_EQ(stream.energy.total_pj(), 0x1.03f9p+40);
 }
 
 TEST(SimdCpuModel, WordAlignedFootprint) {
@@ -143,8 +163,10 @@ TEST(SimdCpuModel, WordAlignedFootprint) {
   const auto exact = a.bulk_op(or2(1ull << 20));
   const auto tail = b.bulk_op(or2((1ull << 20) - 17));
   EXPECT_EQ(tail.time_ns, exact.time_ns);
-  EXPECT_EQ(tail.energy.get("mem.read"), exact.energy.get("mem.read"));
-  EXPECT_EQ(tail.energy.get("mem.write"), exact.energy.get("mem.write"));
+  EXPECT_EQ(tail.energy.get(Energy::kMemRead),
+            exact.energy.get(Energy::kMemRead));
+  EXPECT_EQ(tail.energy.get(Energy::kMemWrite),
+            exact.energy.get(Energy::kMemWrite));
   // And a whole extra word does cost more.
   SimdCpuModel c({}, MemKind::kPcm);
   const auto wider = c.bulk_op(or2((1ull << 20) + 64 * 64 * 8));

@@ -82,6 +82,53 @@ TEST(TraceIo, RejectsMalformedStreams) {
   }
 }
 
+/// The diagnostic load_trace throws for `text`, or "" if it loads.
+std::string load_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    load_trace(ss);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TraceIo, RejectsNegativeFields) {
+  // `istream >> std::uint64_t` wraps -1 to 2^64 - 1 without complaint.
+  for (const char* line : {"op OR -64 1 0 2 3", "op OR 64 -1 0 2 3",
+                           "op OR 64 1 0 2 -3", "scalar -5 2 0.5"}) {
+    const std::string err =
+        load_error(std::string("trace t\n") + line + "\nend\n");
+    EXPECT_NE(err.find("negative field"), std::string::npos)
+        << line << ": " << err;
+  }
+}
+
+TEST(TraceIo, RejectsTextAfterTheOperandIds) {
+  const std::string err =
+      load_error("trace t\nop OR 64 1 0 2 3 junk\nend\n");
+  EXPECT_NE(err.find("after the operand ids"), std::string::npos) << err;
+  EXPECT_NE(load_error("trace t\nop OR 64 1 0 2 3x\nend\n"), "");
+}
+
+TEST(TraceIo, RejectsHostFlagOtherThanZeroOrOne) {
+  const std::string err = load_error("trace t\nop OR 64 1 2 2 3\nend\n");
+  EXPECT_NE(err.find("host flag"), std::string::npos) << err;
+  EXPECT_EQ(load_error("trace t\nop OR 64 1 1 2 3\nend\n"), "");
+}
+
+TEST(TraceIo, RejectsBadScalarLines) {
+  // A density of 7.5 must fail here, not later in AC-PIM pricing as a
+  // negative write energy.
+  EXPECT_NE(load_error("trace t\nscalar 10 20 7.5\nend\n")
+                .find("result density"),
+            std::string::npos);
+  EXPECT_NE(load_error("trace t\nscalar 10 20 0.5 junk\nend\n")
+                .find("bad scalar line"),
+            std::string::npos);
+  EXPECT_EQ(load_error("trace t\nscalar 10 20 1e-05\nend\n"), "");
+}
+
 TEST(TraceIo, FileRoundTripOfRealWorkload) {
   const auto trace =
       apps::vector_trace(apps::VectorSpec::parse("14-8-3s"));
