@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/trace.hpp"
 #include "pinatubo/driver.hpp"
@@ -32,7 +33,9 @@
 
 using namespace pinatubo;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   // Campaign defaults model an end-of-life PCM corner: healthy-shape
   // Monte-Carlo yield is ~1 (ber_from_yield ~ 0), so the campaign sets the
   // stressed rates explicitly.  Files/overrides replace them.
@@ -94,7 +97,7 @@ int main(int argc, char** argv) {
   const mem::Geometry geo = mem::geometry_from_config(cfg);
   core::PimRuntime::Options opts;
   opts.tech = nvm::tech_from_string(cfg.get_or("tech", "pcm"));
-  opts.max_rows = static_cast<unsigned>(cfg.get_u64("max_rows", 128));
+  opts.max_rows = cfg.get_u32("max_rows", 128);
   opts.reliability = policy;
   core::PimRuntime pim(geo, opts);
   obs::TraceSession trace(!trace_path.empty());
@@ -216,4 +219,17 @@ int main(int argc, char** argv) {
   std::printf("OK: zero wrong results with %llu faults detected\n",
               static_cast<unsigned long long>(st.detected_faults));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad config value (tech=foo, max_rows=abc) is a usage error: exit 2
+  // with the message, as plan_lint does, instead of terminating.
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "fault_campaign: %s\n", e.what());
+    return 2;
+  }
 }

@@ -13,6 +13,7 @@
 
 #include "circuit/margin.hpp"
 #include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -24,7 +25,9 @@
 
 using namespace pinatubo;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Config cfg;
   std::vector<std::string> overrides;
   std::string trace_path;
@@ -56,8 +59,7 @@ int main(int argc, char** argv) {
 
   const auto geo = mem::geometry_from_config(cfg);
   const auto tech = nvm::tech_from_string(cfg.get_or("tech", "pcm"));
-  const auto max_rows =
-      static_cast<unsigned>(cfg.get_u64("max_rows", 128));
+  const auto max_rows = cfg.get_u32("max_rows", 128);
 
   Table t("Machine");
   t.set_header({"property", "value"});
@@ -168,4 +170,17 @@ int main(int argc, char** argv) {
                 trace.track_names().size());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad config value (tech=foo, max_rows=abc) is a usage error: exit 2
+  // with the message, as plan_lint does, instead of terminating.
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "machine_explorer: %s\n", e.what());
+    return 2;
+  }
 }

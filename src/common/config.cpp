@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -73,7 +74,7 @@ std::int64_t Config::get_int(const std::string& key, std::int64_t def) const {
   if (!v) return def;
   char* end = nullptr;
   errno = 0;
-  const long long r = std::strtoll(v->c_str(), &end, 0);
+  const long long r = std::strtoll(v->c_str(), &end, 10);
   PIN_CHECK_MSG(end && *end == '\0' && end != v->c_str(),
                 "bad int for " << key << ": " << *v);
   PIN_CHECK_MSG(errno != ERANGE,
@@ -91,12 +92,19 @@ std::uint64_t Config::get_u64(const std::string& key,
                 "negative u64 for " << key << ": " << *v);
   char* end = nullptr;
   errno = 0;
-  const unsigned long long r = std::strtoull(v->c_str(), &end, 0);
+  const unsigned long long r = std::strtoull(v->c_str(), &end, 10);
   PIN_CHECK_MSG(end && *end == '\0' && end != v->c_str(),
                 "bad u64 for " << key << ": " << *v);
   PIN_CHECK_MSG(errno != ERANGE,
                 "u64 out of range for " << key << ": " << *v);
   return r;
+}
+
+unsigned Config::get_u32(const std::string& key, unsigned def) const {
+  const std::uint64_t r = get_u64(key, def);
+  PIN_CHECK_MSG(r <= std::numeric_limits<unsigned>::max(),
+                "u32 out of range for " << key << ": " << r);
+  return static_cast<unsigned>(r);
 }
 
 double Config::get_double(const std::string& key, double def) const {

@@ -3,6 +3,7 @@
 // Benches and examples accept config overrides ("geometry.banks=16") without
 // external dependencies.  Supports '#' comments, section-less flat keys,
 // typed getters with defaults, and strict getters that throw on absence.
+// Integers are plain decimal: a leading zero is not octal, "0x" not hex.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,8 @@ class Config {
   std::string get_or(const std::string& key, const std::string& def) const;
   std::int64_t get_int(const std::string& key, std::int64_t def) const;
   std::uint64_t get_u64(const std::string& key, std::uint64_t def) const;
+  /// get_u64 that also rejects values past 32 bits instead of truncating.
+  unsigned get_u32(const std::string& key, unsigned def) const;
   double get_double(const std::string& key, double def) const;
   bool get_bool(const std::string& key, bool def) const;
 

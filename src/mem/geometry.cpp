@@ -23,18 +23,16 @@ void Geometry::validate() const {
 
 Geometry geometry_from_config(const Config& cfg) {
   Geometry g;
-  auto u = [&](const char* key, unsigned def) {
-    return static_cast<unsigned>(cfg.get_u64(key, def));
-  };
-  g.channels = u("geometry.channels", g.channels);
-  g.ranks_per_channel = u("geometry.ranks", g.ranks_per_channel);
-  g.chips_per_rank = u("geometry.chips", g.chips_per_rank);
-  g.banks_per_chip = u("geometry.banks", g.banks_per_chip);
-  g.subarrays_per_bank = u("geometry.subarrays", g.subarrays_per_bank);
-  g.mats_per_subarray = u("geometry.mats", g.mats_per_subarray);
-  g.rows_per_subarray = u("geometry.rows", g.rows_per_subarray);
+  g.channels = cfg.get_u32("geometry.channels", g.channels);
+  g.ranks_per_channel = cfg.get_u32("geometry.ranks", g.ranks_per_channel);
+  g.chips_per_rank = cfg.get_u32("geometry.chips", g.chips_per_rank);
+  g.banks_per_chip = cfg.get_u32("geometry.banks", g.banks_per_chip);
+  g.subarrays_per_bank =
+      cfg.get_u32("geometry.subarrays", g.subarrays_per_bank);
+  g.mats_per_subarray = cfg.get_u32("geometry.mats", g.mats_per_subarray);
+  g.rows_per_subarray = cfg.get_u32("geometry.rows", g.rows_per_subarray);
   g.row_slice_bits = cfg.get_u64("geometry.row_slice_bits", g.row_slice_bits);
-  g.sa_mux_share = u("geometry.sa_mux_share", g.sa_mux_share);
+  g.sa_mux_share = cfg.get_u32("geometry.sa_mux_share", g.sa_mux_share);
   g.validate();
   return g;
 }

@@ -16,9 +16,9 @@ double render_schedule(TraceSession& session,
                       ss.step < plans[ss.plan].steps.size(),
                   "schedule step out of range");
     const core::PlanStep& step = plans[ss.plan].steps[ss.step];
-    const std::string ch = "ch" + std::to_string(step.channel);
+    const std::string ch = "ch" + std::to_string(step.at.channel);
     const std::uint32_t rank_track =
-        session.track(ch + "/rank" + std::to_string(step.rank));
+        session.track(ch + "/rank" + std::to_string(step.at.rank));
     // Name carries enough to trace a span back to its op: batch position,
     // step position, the logical op, and the rows it opens.
     std::string name = "op" + std::to_string(ss.plan) + "." +

@@ -136,24 +136,19 @@ std::vector<mem::Command> PinatuboCostModel::lower(const OpPlan& plan) const {
 
 void PinatuboCostModel::lower_step(const PlanStep& s,
                                    std::vector<mem::Command>& out) const {
-  mem::RowAddr base;
-  base.channel = s.channel;
-  base.rank = s.rank;
-  base.subarray = s.subarray;
-  base.row = s.row % geo_.rows_per_subarray;
   const std::uint32_t window =
       s.col_start | (static_cast<std::uint32_t>(s.col_steps) << 8);
   switch (s.kind) {
     case StepKind::kIntraSub: {
-      out.push_back({mem::CmdKind::kModeSet, base, s.op, 0});
-      out.push_back({mem::CmdKind::kPimReset, base, s.op, 0});
+      out.push_back({mem::CmdKind::kModeSet, s.at, s.op, 0});
+      out.push_back({mem::CmdKind::kPimReset, s.at, s.op, 0});
       for (std::uint32_t r = 0; r < s.reads.size(); ++r)
         out.push_back({mem::CmdKind::kAct, s.reads[r], s.op, r});
       for (unsigned c = 0; c < s.col_steps; ++c)
-        out.push_back({mem::CmdKind::kPimSense, base, s.op,
+        out.push_back({mem::CmdKind::kPimSense, s.at, s.op,
                        s.col_start + c});
       if (s.writeback)
-        out.push_back({mem::CmdKind::kPimWriteback, s.write, s.op, window});
+        out.push_back({mem::CmdKind::kPimWriteback, s.at, s.op, window});
       break;
     }
     case StepKind::kInterSub:
@@ -161,22 +156,22 @@ void PinatuboCostModel::lower_step(const PlanStep& s,
       const auto kind = s.kind == StepKind::kInterSub
                             ? mem::CmdKind::kPimGdlOp
                             : mem::CmdKind::kPimIoOp;
-      out.push_back({mem::CmdKind::kModeSet, base, s.op, 0});
+      out.push_back({mem::CmdKind::kModeSet, s.at, s.op, 0});
       for (std::uint32_t r = 0; r < s.reads.size(); ++r) {
         const std::uint32_t col =
             r < s.read_cols.size() ? s.read_cols[r] : s.col_start;
         out.push_back({mem::CmdKind::kPimLoad, s.reads[r], s.op,
                        r | (col << 8)});
       }
-      out.push_back({kind, base, s.op, window});
+      out.push_back({kind, s.at, s.op, window});
       if (s.writeback)
-        out.push_back({mem::CmdKind::kPimWriteback, s.write, s.op, window});
+        out.push_back({mem::CmdKind::kPimWriteback, s.at, s.op, window});
       break;
     }
     case StepKind::kHostRead: {
       for (unsigned b = 0; b < geo_.banks_per_chip; ++b)
         for (unsigned c = 0; c < s.col_steps; ++c) {
-          mem::RowAddr a = s.reads.empty() ? base : s.reads[0];
+          mem::RowAddr a = s.reads.empty() ? s.at : s.reads[0];
           a.bank = b;
           out.push_back({mem::CmdKind::kRead, a, s.op, s.col_start + c});
         }

@@ -55,23 +55,9 @@ const Placement& PimRuntime::placement(Handle h) const {
   return it->second;
 }
 
-PimRuntime::RowBit PimRuntime::locate(const Placement& p,
-                                      std::uint64_t q) const {
-  const auto& g = mem_.geometry();
-  const std::uint64_t step = g.sense_step_bits();
-  const std::uint64_t bank_share = step / g.banks_per_chip;
-  const std::uint64_t stripe_local = q / step;
-  const std::uint64_t within = q % step;
-  RowBit rb;
-  rb.bank = static_cast<unsigned>(within / bank_share);
-  rb.bit = static_cast<std::size_t>(
-      (p.col_stripe + stripe_local) * bank_share + within % bank_share);
-  return rb;
-}
-
 void PimRuntime::scatter(const Placement& p, const BitVector& v) {
-  // locate() maps each bank_share-long run of vector bits to a contiguous
-  // bit range of one bank row, so scatter/gather move whole chunks with
+  // Each bank_share-long run of vector bits maps to a contiguous bit range
+  // of one bank row, so scatter/gather move whole chunks with
   // copy_bits instead of walking bits.  Scatter stays read-modify-write +
   // one write_row per touched bank so the wear ledger sees exactly one
   // full-row write per physical row activation, as before.
@@ -164,6 +150,24 @@ void PimRuntime::pim_write(Handle h, const BitVector& data) {
 
 BitVector PimRuntime::pim_read(Handle h) const { return gather(placement(h)); }
 
+void PimRuntime::reduce_into(
+    BitOp op, const std::vector<Placement>& src_p, const Placement& dst_p,
+    const std::vector<std::optional<BitVector>>& snapshots) {
+  std::vector<BitVector> gathered;
+  gathered.reserve(src_p.size());
+  std::vector<const BitVector*> operands;
+  operands.reserve(src_p.size());
+  for (std::size_t i = 0; i < src_p.size(); ++i) {
+    if (i < snapshots.size() && snapshots[i]) {
+      operands.push_back(&*snapshots[i]);
+    } else {
+      gathered.push_back(gather(src_p[i]));
+      operands.push_back(&gathered.back());
+    }
+  }
+  scatter(dst_p, BitVector::reduce(op, operands));
+}
+
 bool PimRuntime::activate(const PlanStep& planned, OpPlan& executed) {
   using reliability::SenseVerify;
   using reliability::WriteVerify;
@@ -189,7 +193,7 @@ bool PimRuntime::activate(const PlanStep& planned, OpPlan& executed) {
     return st;
   };
   auto dst_in = [&](unsigned bank) {
-    mem::RowAddr a = planned.write;
+    mem::RowAddr a = planned.at;
     a.bank = bank;
     return a;
   };
@@ -252,7 +256,7 @@ bool PimRuntime::activate(const PlanStep& planned, OpPlan& executed) {
     if (!relmgr_) return true;
     if (rel.verify.writes != WriteVerify::kNone) {
       PlanStep wv =
-          ladder_step(StepKind::kInterSub, false, attempt, {planned.write});
+          ladder_step(StepKind::kInterSub, false, attempt, {planned.at});
       if (rel.verify.writes == WriteVerify::kReadback) {
         wv.rows = 2;
       } else {
@@ -267,7 +271,7 @@ bool PimRuntime::activate(const PlanStep& planned, OpPlan& executed) {
     for (std::uint64_t i = remaps_before; i < relmgr_->counters().remaps;
          ++i) {
       PlanStep rm =
-          ladder_step(StepKind::kIntraSub, true, attempt, {planned.write});
+          ladder_step(StepKind::kIntraSub, true, attempt, {planned.at});
       rm.col_steps = g.sa_mux_share;
       rm.bits = g.row_group_bits();
       rm.col_start = 0;
@@ -283,7 +287,7 @@ bool PimRuntime::activate(const PlanStep& planned, OpPlan& executed) {
   if (rel.retry.deescalate && planned.op == BitOp::kOr && k > 2) {
     ++relmgr_->counters().deescalations;
     const auto half = planned.reads.begin() + (k + 1) / 2;
-    std::vector<mem::RowAddr> rest{planned.write};  // holds the first half
+    std::vector<mem::RowAddr> rest{planned.at};  // holds the first half
     rest.insert(rest.end(), half, planned.reads.end());
     return activate(ladder_step(StepKind::kIntraSub, true, planned.attempt,
                                 {planned.reads.begin(), half}),
@@ -382,12 +386,7 @@ void PimRuntime::pim_op(BitOp op, const std::vector<Handle>& srcs, Handle dst,
   if (plan.count(StepKind::kIntraSub) == 0) {
     submit(std::move(plan));
     // Buffer paths compute exactly in digital logic.
-    std::vector<BitVector> operands;
-    operands.reserve(src_p.size());
-    for (const auto& p : src_p) operands.push_back(gather(p));
-    std::vector<const BitVector*> ptrs;
-    for (const auto& v : operands) ptrs.push_back(&v);
-    scatter(dst_p, BitVector::reduce(op, ptrs));
+    reduce_into(op, src_p, dst_p, {});
     sync_reliability();  // scatter may have detected write faults
     return;
   }
@@ -429,13 +428,7 @@ void PimRuntime::fallback_op(BitOp op, const std::vector<Placement>& src_p,
   // Functional: recompute from the stored operands (clean — persistent
   // faults were healed at write time), or the pre-op snapshot when the
   // operand aliased dst.  The result is exact by construction.
-  std::vector<BitVector> operands;
-  operands.reserve(src_p.size());
-  for (std::size_t i = 0; i < src_p.size(); ++i)
-    operands.push_back(snapshots[i] ? *snapshots[i] : gather(src_p[i]));
-  std::vector<const BitVector*> ptrs;
-  for (const auto& v : operands) ptrs.push_back(&v);
-  scatter(dst_p, BitVector::reduce(op, ptrs));
+  reduce_into(op, src_p, dst_p, snapshots);
 
   // Costed: the whole op runs as a CPU bulk kernel streaming from PCM
   // (operand reads + result write included — no extra host-read steps, or

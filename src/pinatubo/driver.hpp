@@ -180,12 +180,12 @@ class PimRuntime {
   void scatter(const Placement& p, const BitVector& v);
   /// Gathers the logical vector back out of the rows.
   BitVector gather(const Placement& p) const;
-  /// Bit-position mapping: logical bit q of group g -> (bank, row bit).
-  struct RowBit {
-    unsigned bank;
-    std::size_t bit;
-  };
-  RowBit locate(const Placement& p, std::uint64_t in_group_offset) const;
+  /// Computes `op` digitally over the operands and scatters the result into
+  /// dst (the buffer paths and the CPU fallback).  A set `snapshots[i]`
+  /// stands in for operand i (its value before a dst-aliasing op began).
+  void reduce_into(BitOp op, const std::vector<Placement>& src_p,
+                   const Placement& dst_p,
+                   const std::vector<std::optional<BitVector>>& snapshots);
   /// Routes a write through the recovery manager when one is attached
   /// (verify-after-write + remap); plain store otherwise.
   void store_row(const mem::RowAddr& addr, const BitVector& data);
@@ -193,7 +193,7 @@ class PimRuntime {
                     const BitVector& data);
   /// Executes one planned intra-subarray activation in every bank of its
   /// lock-step cluster: senses `planned.reads` and writes the window
-  /// [col_start, col_start + col_steps) at `planned.write`.  With a
+  /// [col_start, col_start + col_steps) at `planned.at`.  With a
   /// recovery manager the activation runs the verify/retry/de-escalate
   /// ladder; without one it is a single unverified attempt.  Appends the
   /// steps actually taken (failed attempts included) to `executed`.

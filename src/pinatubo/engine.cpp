@@ -103,16 +103,12 @@ ExecutionEngine::Result ExecutionEngine::run(
   std::vector<std::vector<std::uint32_t>> by_channel(geo.channels);
   for (std::uint32_t i = 0; i < nodes.size(); ++i) {
     const PlanStep& s = *nodes[i].s;
-    PIN_CHECK_MSG(s.channel < geo.channels, "channel " << s.channel);
+    PIN_CHECK_MSG(s.at.channel < geo.channels, "channel " << s.at.channel);
     for (const mem::RowAddr& r : s.reads)
-      PIN_CHECK_MSG(r.channel == s.channel,
-                    "step on channel " << s.channel << " reads "
+      PIN_CHECK_MSG(r.channel == s.at.channel,
+                    "step on channel " << s.at.channel << " reads "
                                        << r.to_string());
-    if (s.writeback)
-      PIN_CHECK_MSG(s.write.channel == s.channel,
-                    "step on channel " << s.channel << " writes "
-                                       << s.write.to_string());
-    by_channel[s.channel].push_back(i);
+    by_channel[s.at.channel].push_back(i);
   }
 
   // One ChannelTimer per channel with the ranks as its parallel "banks"
@@ -138,7 +134,7 @@ ExecutionEngine::Result ExecutionEngine::run(
         if (it != last_writer.end()) deps.push_back(it->second);
       }
       if (s.writeback) {
-        const std::uint64_t w = row_key(s.write);
+        const std::uint64_t w = row_key(s.at);
         const auto it = last_writer.find(w);
         if (it != last_writer.end()) deps.push_back(it->second);  // WAW
         const auto rd = readers.find(w);
@@ -154,7 +150,7 @@ ExecutionEngine::Result ExecutionEngine::run(
       }
       for (const mem::RowAddr& r : s.reads) readers[row_key(r)].push_back(i);
       if (s.writeback) {
-        const std::uint64_t w = row_key(s.write);
+        const std::uint64_t w = row_key(s.at);
         last_writer[w] = i;
         readers[w].clear();
       }
@@ -180,7 +176,7 @@ ExecutionEngine::Result ExecutionEngine::run(
       for (std::size_t j = 0; j < ready_list.size(); ++j) {
         const Node& n = nodes[ready_list[j]];
         const double start =
-            std::max(n.ready_ns, timers[c].bank_free_ns(n.s->rank));
+            std::max(n.ready_ns, timers[c].bank_free_ns(n.s->at.rank));
         if (j == 0 || start < pick_start ||
             (start == pick_start && ready_list[j] < ready_list[pick])) {
           pick = j;
@@ -200,9 +196,9 @@ ExecutionEngine::Result ExecutionEngine::run(
         // The trailing data burst serializes on the channel's shared DDR
         // bus; the bank-cluster part of the step occupies the rank.
         const double occupy = std::max(0.0, n.time_ns - burst);
-        done = timers[c].issue_data_after(s.rank, n.ready_ns, occupy, bytes);
+        done = timers[c].issue_data_after(s.at.rank, n.ready_ns, occupy, bytes);
       } else {
-        done = timers[c].issue_after(s.rank, n.ready_ns, n.time_ns);
+        done = timers[c].issue_after(s.at.rank, n.ready_ns, n.time_ns);
       }
       sched.push_back({pick_start, i,
                        {n.plan, n.step, done - n.time_ns, done, burst}});

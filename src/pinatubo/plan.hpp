@@ -36,14 +36,14 @@ struct PlanStep {
   unsigned col_steps = 1;     ///< sensing steps (column groups touched)
   std::uint64_t bits = 0;     ///< logical bits this step processes
   bool writeback = true;      ///< result written through the WDs
-  unsigned channel = 0;
-  unsigned rank = 0;          ///< executing rank (multi-group ops rotate)
-  unsigned subarray = 0;      ///< executing subarray (intra)
-  unsigned row = 0;           ///< destination row coordinate
   unsigned col_start = 0;     ///< first column stripe the step touches
-  std::uint64_t group = 0;    ///< group index within the op
   bool crosses_rank = false;  ///< inter-bank step needing a bus hop
   unsigned attempt = 0;       ///< reliability retry ordinal (0 = first try)
+  /// Where the step runs: the executing lock-step cluster (channel, rank,
+  /// subarray; bank 0 stands for the broadcast) and the destination row,
+  /// which the step writes when `writeback` is set.  Multi-group ops
+  /// rotate groups across ranks, so each group's steps carry their own.
+  mem::RowAddr at;
 
   /// Concrete operand rows this step opens (intra: all simultaneously
   /// activated rows; buffer: the rows latched into the buffer; host-read:
@@ -53,8 +53,6 @@ struct PlanStep {
   /// First column stripe of each read (buffer path: the alignment shifter
   /// in the global row buffer maps each operand's window onto the dst's).
   std::vector<unsigned> read_cols;
-  /// Destination row of the writeback (valid when `writeback`).
-  mem::RowAddr write;
 
   // ---- resource annotations (execution-engine scheduling) ---------------
   /// Global id of the execution resource this step occupies: the lock-step
@@ -62,7 +60,7 @@ struct PlanStep {
   /// resource ids can overlap in time (different ranks/channels); steps
   /// sharing one serialize on it.
   unsigned resource(unsigned ranks_per_channel) const {
-    return channel * ranks_per_channel + rank;
+    return at.channel * ranks_per_channel + at.rank;
   }
   /// Whether the step moves real data over the shared DDR data bus (host
   /// result bursts and cross-rank operand hops); such transfers serialize

@@ -96,38 +96,54 @@ OpPlan OpScheduler::plan(BitOp op, const std::vector<Placement>& srcs,
   }
 
   if (host_reads_result) {
-    PlanStep rd;
-    rd.kind = StepKind::kHostRead;
-    rd.op = op;
+    // One operand row per group so the engine sees the data dependency on
+    // every group's result (groups rotate across ranks).  reads[0] is the
+    // group-0 row, which is what the lowered RD bursts address.
+    std::vector<mem::RowAddr> reads;
+    reads.reserve(dst.groups);
+    for (std::uint64_t g = 0; g < dst.groups; ++g)
+      reads.push_back(row_of(dst, g));
+    PlanStep rd = group_step(StepKind::kHostRead, op, dst, 0, std::move(reads),
+                             {});
     rd.rows = 1;
     rd.bits = dst.bits;
     rd.col_steps = dst.stripes;
     rd.writeback = false;
-    rd.channel = dst.channel;
-    rd.rank = dst.rank;
-    rd.subarray = dst.subarray;
-    rd.row = dst.first_row;
-    rd.col_start = dst.col_stripe;
-    // One operand row per group so the engine sees the data dependency on
-    // every group's result (groups rotate across ranks).  reads[0] is the
-    // group-0 row, which is what the lowered RD bursts address.
-    rd.reads.reserve(dst.groups);
-    for (std::uint64_t g = 0; g < dst.groups; ++g)
-      rd.reads.push_back(mem::RowAddr{
-          dst.channel, dst.group_rank(g, geo_.ranks_per_channel), 0,
-          dst.subarray, dst.group_row(g, geo_.ranks_per_channel)});
-    out.steps.push_back(rd);
+    out.steps.push_back(std::move(rd));
   }
   return out;
+}
+
+mem::RowAddr OpScheduler::row_of(const Placement& p, std::uint64_t g) const {
+  const unsigned ranks = geo_.ranks_per_channel;
+  return mem::RowAddr{p.channel, p.group_rank(g, ranks), 0, p.subarray,
+                      p.group_row(g, ranks)};
+}
+
+PlanStep OpScheduler::group_step(StepKind kind, BitOp op, const Placement& dst,
+                                 std::uint64_t g,
+                                 std::vector<mem::RowAddr> reads,
+                                 std::vector<unsigned> read_cols) const {
+  const std::uint64_t group_bits = geo_.row_group_bits();
+  const std::uint64_t step_bits = geo_.sense_step_bits();
+  PlanStep st;
+  st.kind = kind;
+  st.op = op;
+  st.rows = static_cast<unsigned>(reads.size());
+  st.bits = std::min(dst.bits - g * group_bits,
+                     dst.groups == 1 ? dst.bits : group_bits);
+  st.col_steps = static_cast<unsigned>((st.bits + step_bits - 1) / step_bits);
+  st.col_start = dst.col_stripe;
+  st.at = row_of(dst, g);
+  st.reads = std::move(reads);
+  st.read_cols = std::move(read_cols);
+  return st;
 }
 
 void OpScheduler::plan_intra(OpPlan& out, BitOp op,
                              const std::vector<Placement>& srcs,
                              const Placement& dst) const {
   const unsigned max_rows = effective_max_rows(op);
-  const unsigned ranks = geo_.ranks_per_channel;
-  const std::uint64_t group_bits = geo_.row_group_bits();
-  const std::uint64_t step_bits = geo_.sense_step_bits();
 
   // In-place operands (aliasing dst) must be consumed by the FIRST
   // activation — later chain steps reuse the dst row as the accumulator.
@@ -141,50 +157,27 @@ void OpScheduler::plan_intra(OpPlan& out, BitOp op,
                         });
 
   for (std::uint64_t g = 0; g < dst.groups; ++g) {
-    const std::uint64_t bits_g =
-        std::min(dst.bits - g * group_bits,
-                 dst.groups == 1 ? dst.bits : group_bits);
-    const auto cols =
-        static_cast<unsigned>((bits_g + step_bits - 1) / step_bits);
-    auto addr_of = [&](const Placement& p) {
-      return mem::RowAddr{p.channel, p.group_rank(g, ranks), 0, p.subarray,
-                          p.group_row(g, ranks)};
-    };
     auto make_step = [&](std::vector<mem::RowAddr> reads) {
-      PlanStep st;
-      st.kind = StepKind::kIntraSub;
-      st.op = op;
-      st.rows = static_cast<unsigned>(reads.size());
-      st.col_steps = cols;
-      st.bits = bits_g;
-      st.writeback = true;
-      st.channel = dst.channel;
-      st.rank = dst.group_rank(g, ranks);
-      st.subarray = dst.subarray;
-      st.row = dst.group_row(g, ranks);
-      st.col_start = dst.col_stripe;
-      st.group = g;
-      st.reads = std::move(reads);
-      st.read_cols.assign(st.reads.size(), dst.col_stripe);  // aligned
-      st.write = addr_of(dst);
-      return st;
+      std::vector<unsigned> cols(reads.size(), dst.col_stripe);  // aligned
+      return group_step(StepKind::kIntraSub, op, dst, g, std::move(reads),
+                        std::move(cols));
     };
     if (op == BitOp::kInv) {
-      out.steps.push_back(make_step({addr_of(ordered[0])}));
+      out.steps.push_back(make_step({row_of(ordered[0], g)}));
       continue;
     }
     const auto n = static_cast<unsigned>(ordered.size());
     unsigned consumed = std::min(max_rows, n);
     std::vector<mem::RowAddr> reads;
     for (unsigned i = 0; i < consumed; ++i)
-      reads.push_back(addr_of(ordered[i]));
+      reads.push_back(row_of(ordered[i], g));
     out.steps.push_back(make_step(std::move(reads)));
     while (consumed < n) {
       // Accumulator row (dst) re-activated with the next operand batch.
       const unsigned k = std::min(max_rows, n - consumed + 1);
-      std::vector<mem::RowAddr> chain{addr_of(dst)};
+      std::vector<mem::RowAddr> chain{row_of(dst, g)};
       for (unsigned i = 0; i + 1 < k; ++i)
-        chain.push_back(addr_of(ordered[consumed + i]));
+        chain.push_back(row_of(ordered[consumed + i], g));
       out.steps.push_back(make_step(std::move(chain)));
       consumed += k - 1;
     }
@@ -194,52 +187,22 @@ void OpScheduler::plan_intra(OpPlan& out, BitOp op,
 void OpScheduler::plan_buffer(OpPlan& out, BitOp op, StepKind kind,
                               const std::vector<Placement>& srcs,
                               const Placement& dst) const {
-  const std::uint64_t group_bits = geo_.row_group_bits();
-  const std::uint64_t step_bits = geo_.sense_step_bits();
-  const std::uint64_t groups = dst.groups;
-
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    const std::uint64_t bits_g = std::min(
-        dst.bits - g * group_bits, groups == 1 ? dst.bits : group_bits);
-    const auto cols =
-        static_cast<unsigned>((bits_g + step_bits - 1) / step_bits);
-    const unsigned ranks = geo_.ranks_per_channel;
-    auto addr_of = [&](const Placement& p) {
-      return mem::RowAddr{p.channel, p.group_rank(g, ranks), 0, p.subarray,
-                          p.group_row(g, ranks)};
-    };
-    const std::size_t steps =
-        op == BitOp::kInv ? 1 : srcs.size() - 1;
+  const std::size_t steps = op == BitOp::kInv ? 1 : srcs.size() - 1;
+  for (std::uint64_t g = 0; g < dst.groups; ++g) {
     for (std::size_t i = 0; i < steps; ++i) {
-      PlanStep st;
-      st.kind = kind;
-      st.op = op;
-      st.rows = op == BitOp::kInv ? 1 : 2;
-      st.col_steps = cols;
-      st.bits = bits_g;
-      st.writeback = true;
-      st.channel = dst.channel;
-      st.rank = dst.group_rank(g, ranks);
-      st.subarray = dst.subarray;
-      st.row = dst.group_row(g, ranks);
-      st.col_start = dst.col_stripe;
-      st.group = g;
       // Fold: first step combines the first two operands; later steps
       // combine the accumulator (at dst) with the next operand.
       const Placement& operand = srcs[std::min(i + 1, srcs.size() - 1)];
-      if (op == BitOp::kInv) {
-        st.reads = {addr_of(srcs[0])};
-        st.read_cols = {srcs[0].col_stripe};
-      } else if (i == 0) {
-        st.reads = {addr_of(srcs[0]), addr_of(operand)};
-        st.read_cols = {srcs[0].col_stripe, operand.col_stripe};
-      } else {
-        st.reads = {addr_of(dst), addr_of(operand)};
-        st.read_cols = {dst.col_stripe, operand.col_stripe};
-      }
-      st.write = addr_of(dst);
+      const Placement& lhs = i == 0 ? srcs[0] : dst;
+      PlanStep st =
+          op == BitOp::kInv
+              ? group_step(kind, op, dst, g, {row_of(lhs, g)},
+                           {lhs.col_stripe})
+              : group_step(kind, op, dst, g,
+                           {row_of(lhs, g), row_of(operand, g)},
+                           {lhs.col_stripe, operand.col_stripe});
       st.crosses_rank = !operand.same_rank(dst);
-      out.steps.push_back(st);
+      out.steps.push_back(std::move(st));
     }
   }
 }

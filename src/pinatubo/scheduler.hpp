@@ -56,6 +56,13 @@ class OpScheduler {
   void plan_buffer(OpPlan& out, BitOp op, StepKind kind,
                    const std::vector<Placement>& srcs,
                    const Placement& dst) const;
+  /// Group `g`'s row of placement `p` (bank 0: the lock-step cluster).
+  mem::RowAddr row_of(const Placement& p, std::uint64_t g) const;
+  /// Every step is built here: group `g`'s bit count and column steps,
+  /// running at dst's group-`g` row, opening `reads` (`rows` = their count).
+  PlanStep group_step(StepKind kind, BitOp op, const Placement& dst,
+                      std::uint64_t g, std::vector<mem::RowAddr> reads,
+                      std::vector<unsigned> read_cols) const;
 
   mem::Geometry geo_;
   SchedulerConfig cfg_;

@@ -26,8 +26,9 @@ constexpr RuleInfo kRules[kRuleCount] = {
     {"P05", "cross-channel",
      "a step and all rows it touches live on the step's channel"},
     {"P06", "cluster-mismatch",
-     "reads address the executing lock-step bank cluster (bank collapsed; "
-     "intra: the step's rank+subarray, inter-sub: the step's rank)"},
+     "the step address and its reads name the lock-step bank cluster "
+     "(bank 0; intra reads: the step's rank+subarray, inter-sub reads: the "
+     "step's rank)"},
     {"P07", "double-activate",
      "a multi-row activation opens each wordline at most once"},
     {"P08", "write-bypass-no-sense",
@@ -36,8 +37,6 @@ constexpr RuleInfo kRules[kRuleCount] = {
      "column windows stay inside the SA mux share"},
     {"P10", "read-cols-mismatch",
      "read_cols, when present, aligns one entry per read"},
-    {"P11", "write-key-mismatch",
-     "the writeback targets the step's own (channel,rank,subarray,row)"},
     {"P12", "bad-command-order",
      "the lowered DDR command stream obeys the per-cluster PIM automaton "
      "(mode-set, reset, ACTs, senses, bypass / loads, logic op, writeback)"},

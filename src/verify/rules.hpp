@@ -31,7 +31,6 @@ enum class Rule : std::uint8_t {
   kWriteBypassNoSense,  ///< P08: WD bypass requires a preceding sense
   kColumnOverflow,      ///< P09: column windows stay inside the mux share
   kReadColsMismatch,    ///< P10: read_cols aligns 1:1 with reads
-  kWriteKeyMismatch,    ///< P11: the write targets the step's own row key
   kBadCommandOrder,     ///< P12: lowered DDR commands obey the automaton
   // ---- hazard & resource pass -------------------------------------------
   kScheduleShape,   ///< H01: schedule covers each step once, honest times

@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/trace.hpp"
+
 namespace pinatubo::verify {
 
 namespace {
@@ -17,6 +19,10 @@ namespace {
 /// so every endpoint carries up to 0.05 ns of rounding; comparisons involve
 /// two or three rounded values.
 constexpr double kEpsNs = 0.21;
+
+/// Deepest array/object nesting the reader accepts.  Trace files nest four
+/// levels; the cap keeps hostile input from overflowing the recursion.
+constexpr unsigned kMaxDepth = 64;
 
 // ---- minimal recursive-descent JSON reader --------------------------------
 // The linter must not trust the writer, so it re-parses the file instead of
@@ -80,8 +86,14 @@ class JsonParser {
   bool value(JValue& out) {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) return fail("nesting exceeds the depth cap");
+        ++depth_;
+        const bool ok = text_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JValue::Kind::kString;
         return string(out.string);
@@ -230,20 +242,12 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  unsigned depth_ = 0;
   std::string error_;
 };
 
 double num_or(const JValue* v, double fallback) {
   return v != nullptr && v->is(JValue::Kind::kNumber) ? v->number : fallback;
-}
-
-void append_json_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -437,7 +441,7 @@ std::string TraceStats::to_json(const Report& rep) const {
   for (const Diagnostic& d : rep.diags) {
     if (!first) os << ',';
     first = false;
-    append_json_escaped(os, d.to_string());
+    obs::append_json_string(os, d.to_string());
   }
   os << "],\"spans\":" << spans << ",\"tracks\":" << tracks
      << ",\"max_end_ns\":" << max_end_ns
@@ -447,7 +451,7 @@ std::string TraceStats::to_json(const Report& rep) const {
   for (const auto& [cat, n] : spans_by_category) {
     if (!first) os << ',';
     first = false;
-    append_json_escaped(os, cat);
+    obs::append_json_string(os, cat);
     os << ':' << n;
   }
   os << "},\"counters\":{";
@@ -455,7 +459,7 @@ std::string TraceStats::to_json(const Report& rep) const {
   for (const auto& [name, value] : counters) {
     if (!first) os << ',';
     first = false;
-    append_json_escaped(os, name);
+    obs::append_json_string(os, name);
     os << ':' << value;
   }
   os << "}}";

@@ -94,15 +94,19 @@ void Verifier::check_step(std::size_t plan, std::size_t step,
           "writeback with no sensing step before it (col_steps = 0)");
     add(Rule::kStepShape, "col_steps must be >= 1");
   }
-  if (s.channel >= g.channels)
-    add(Rule::kCrossChannel, msg("step channel ", s.channel,
-                                 " outside the machine (", g.channels, ")"));
+  if (!addr_in_range(g, s.at))
+    add(Rule::kAddrOutOfRange,
+        msg("step address ", addr_str(s.at), " out of range"));
+  if (s.at.bank != 0)
+    add(Rule::kClusterMismatch,
+        msg("step address ", addr_str(s.at),
+            " names a bank; PIM steps broadcast the cluster (bank 0)"));
   for (const mem::RowAddr& r : s.reads) {
     if (!addr_in_range(g, r))
       add(Rule::kAddrOutOfRange, msg("read ", addr_str(r), " out of range"));
-    else if (r.channel != s.channel)
-      add(Rule::kCrossChannel, msg("step on channel ", s.channel, " reads ",
-                                   addr_str(r)));
+    else if (r.channel != s.at.channel)
+      add(Rule::kCrossChannel, msg("step on channel ", s.at.channel,
+                                   " reads ", addr_str(r)));
     if (r.bank != 0)
       add(Rule::kClusterMismatch,
           msg("read ", addr_str(r),
@@ -123,16 +127,6 @@ void Verifier::check_step(std::size_t plan, std::size_t step,
   if (s.crosses_rank && s.kind != StepKind::kInterBank)
     add(Rule::kClusterMismatch,
         "only inter-bank steps may cross ranks (crosses_rank set)");
-  if (s.writeback) {
-    const mem::RowAddr want{s.channel, s.rank, 0, s.subarray, s.row};
-    if (!addr_in_range(g, s.write))
-      add(Rule::kAddrOutOfRange,
-          msg("write ", addr_str(s.write), " out of range"));
-    else if (!(s.write == want))
-      add(Rule::kWriteKeyMismatch,
-          msg("write targets ", addr_str(s.write), ", step executes at ",
-              addr_str(want)));
-  }
 
   // ---- per-kind rules ----------------------------------------------------
   switch (s.kind) {
@@ -166,11 +160,11 @@ void Verifier::check_step(std::size_t plan, std::size_t step,
           }
       for (const mem::RowAddr& r : s.reads)
         if (addr_in_range(g, r) &&
-            (r.rank != s.rank || r.subarray != s.subarray))
+            (r.rank != s.at.rank || r.subarray != s.at.subarray))
           add(Rule::kClusterMismatch,
               msg("intra-subarray read ", addr_str(r),
-                  " outside the executing cluster (rank ", s.rank,
-                  ", subarray ", s.subarray, ")"));
+                  " outside the executing cluster (rank ", s.at.rank,
+                  ", subarray ", s.at.subarray, ")"));
       break;
     }
     case StepKind::kInterSub:
@@ -189,10 +183,10 @@ void Verifier::check_step(std::size_t plan, std::size_t step,
                 " operand rows exceed the buffer's two latch slots"));
       if (s.kind == StepKind::kInterSub)
         for (const mem::RowAddr& r : s.reads)
-          if (addr_in_range(g, r) && r.rank != s.rank)
+          if (addr_in_range(g, r) && r.rank != s.at.rank)
             add(Rule::kClusterMismatch,
                 msg("inter-subarray read ", addr_str(r),
-                    " outside the executing rank ", s.rank));
+                    " outside the executing rank ", s.at.rank));
       break;
     }
     case StepKind::kHostRead: {
@@ -424,17 +418,17 @@ void Verifier::hazard_resource_pass(
         if (it != last_writer.end()) needs(it->second, "RAW", r);
       }
       if (s.writeback) {
-        const std::uint64_t w = row_key(s.write);
+        const std::uint64_t w = row_key(s.at);
         const auto it = last_writer.find(w);
-        if (it != last_writer.end()) needs(it->second, "WAW", s.write);
+        if (it != last_writer.end()) needs(it->second, "WAW", s.at);
         const auto rd = readers.find(w);
         if (rd != readers.end())
-          for (const std::size_t r : rd->second) needs(r, "WAR", s.write);
+          for (const std::size_t r : rd->second) needs(r, "WAR", s.at);
       }
       for (const mem::RowAddr& r : s.reads)
         readers[row_key(r)].push_back(idx);
       if (s.writeback) {
-        const std::uint64_t w = row_key(s.write);
+        const std::uint64_t w = row_key(s.at);
         last_writer[w] = idx;
         readers[w].clear();
       }
@@ -454,10 +448,10 @@ void Verifier::hazard_resource_pass(
     const Sched& ss = at(idx);
     const PlanStep& s = plans[ss.plan].steps[ss.step];
     const std::uint64_t rk =
-        (static_cast<std::uint64_t>(s.channel) << 32) | s.rank;
+        (static_cast<std::uint64_t>(s.at.channel) << 32) | s.at.rank;
     rank_busy[rk].push_back({ss.start_ns, ss.done_ns, idx});
     if (ss.bus_ns > 0.0)
-      bus_busy[s.channel].push_back(
+      bus_busy[s.at.channel].push_back(
           {ss.done_ns - ss.bus_ns, ss.done_ns, idx});
   }
   auto check_overlap = [&](std::unordered_map<std::uint64_t,

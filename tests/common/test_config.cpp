@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace pinatubo {
@@ -54,9 +56,38 @@ TEST(Config, BoolSpellings) {
   EXPECT_FALSE(cfg.get_bool("d", true));
 }
 
-TEST(Config, HexIntegers) {
-  const auto cfg = Config::from_string("addr = 0x1000");
-  EXPECT_EQ(cfg.get_u64("addr", 0), 0x1000u);
+TEST(Config, IntegersAreDecimalOnly) {
+  // Regression: strto*(..., 0) read "0200" as octal 128 and "0x80" as hex
+  // 128, so geometry.rows=0200 silently built a 128-row subarray.
+  const auto cfg =
+      Config::from_string("oct = 0200\nneg = -010\nhex = 0x80\nx = 0x1000");
+  EXPECT_EQ(cfg.get_u64("oct", 0), 200u);
+  EXPECT_EQ(cfg.get_u32("oct", 0), 200u);
+  EXPECT_EQ(cfg.get_int("oct", 0), 200);
+  EXPECT_EQ(cfg.get_int("neg", 0), -10);
+  for (const char* key : {"hex", "x"}) {
+    EXPECT_THROW(cfg.get_u64(key, 0), Error) << key;
+    EXPECT_THROW(cfg.get_u32(key, 0), Error) << key;
+    EXPECT_THROW(cfg.get_int(key, 0), Error) << key;
+  }
+}
+
+TEST(Config, U32RejectsValuesPast32Bits) {
+  // Regression: 32-bit keys were static_cast<unsigned> of a u64, so
+  // geometry.channels=4294967297 silently became 1 channel.
+  const auto cfg = Config::from_string(
+      "max = 4294967295\nbig = 4294967297\nneg = -1\nbad = abc");
+  EXPECT_EQ(cfg.get_u32("max", 0), 4294967295u);
+  EXPECT_EQ(cfg.get_u32("missing", 7), 7u);
+  EXPECT_THROW(cfg.get_u32("neg", 0), Error);
+  EXPECT_THROW(cfg.get_u32("bad", 0), Error);
+  try {
+    cfg.get_u32("big", 0);
+    ADD_FAILURE() << "4294967297 read as a 32-bit value";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("big"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Config, RejectsNegativeU64) {

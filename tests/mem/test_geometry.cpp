@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace pinatubo::mem {
@@ -50,6 +52,27 @@ TEST(Geometry, FromConfig) {
   // Invalid combinations are rejected at construction.
   const auto bad = Config::from_string("geometry.sa_mux_share = 7\n");
   EXPECT_THROW(geometry_from_config(bad), Error);
+}
+
+TEST(Geometry, FromConfigRejectsValuesPast32Bits) {
+  // Regression: 2^32 + 1 channels used to truncate silently to 1.
+  const auto cfg = Config::from_string("geometry.channels = 4294967297\n");
+  try {
+    geometry_from_config(cfg);
+    ADD_FAILURE() << "geometry.channels = 2^32 + 1 was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("geometry.channels"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Geometry, FromConfigReadsDecimal) {
+  // Regression: "0200" was octal (128 rows) and "0x80" hex.
+  const auto oct = Config::from_string("geometry.rows = 0200\n");
+  EXPECT_EQ(geometry_from_config(oct).rows_per_subarray, 200u);
+  const auto hex = Config::from_string("geometry.rows = 0x80\n");
+  EXPECT_THROW(geometry_from_config(hex), Error);
 }
 
 TEST(Geometry, MuxShareScalesSenseStep) {

@@ -103,16 +103,6 @@ TEST_F(MainMemoryTest, SttLimitedToTwoRowOr) {
   EXPECT_THROW(stt.sense_rows(rows, BitOp::kOr), Error);
 }
 
-TEST_F(MainMemoryTest, BufferOpAnyPlacement) {
-  const RowAddr a{0, 0, 0, 0, 0}, b{0, 0, 1, 1, 5};  // different banks
-  const auto va = random_row(5), vb = random_row(6);
-  mem_.write_row(a, va);
-  mem_.write_row(b, vb);
-  EXPECT_EQ(mem_.buffer_op(a, b, BitOp::kOr), (va | vb));
-  EXPECT_EQ(mem_.buffer_op(a, b, BitOp::kXor), (va ^ vb));
-  EXPECT_EQ(mem_.buffer_op(a, b, BitOp::kInv), ~va);
-}
-
 TEST_F(MainMemoryTest, AnalogFidelityMatchesNominalWithinMargin) {
   MainMemory analog(small_geometry(), nvm::Tech::kPcm,
                     SenseFidelity::kAnalog, 99);

@@ -138,8 +138,12 @@ TEST_F(SchedulerTest, MultiGroupVectorMakesPerGroupSteps) {
   auto ps = alloc_n(3, 1ull << 20);  // 2 groups each
   const auto plan = sched_.plan(BitOp::kOr, {ps[0], ps[1]}, ps[2], false);
   EXPECT_EQ(plan.steps.size(), 2u);
-  EXPECT_EQ(plan.steps[0].group, 0u);
-  EXPECT_EQ(plan.steps[1].group, 1u);
+  // Groups rotate across ranks: each step runs at its own group's dst row.
+  const unsigned ranks = geo_.ranks_per_channel;
+  for (std::uint64_t g = 0; g < 2; ++g) {
+    EXPECT_EQ(plan.steps[g].at.rank, ps[2].group_rank(g, ranks));
+    EXPECT_EQ(plan.steps[g].at.row, ps[2].group_row(g, ranks));
+  }
   for (const auto& s : plan.steps) {
     EXPECT_EQ(s.kind, StepKind::kIntraSub);
     EXPECT_EQ(s.col_steps, 32u);

@@ -2,7 +2,9 @@
 // hold for every (op, operand count, vector length, row cap) combination.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
+#include <utility>
 
 #include "pinatubo/allocator.hpp"
 #include "pinatubo/cost_model.hpp"
@@ -14,6 +16,11 @@ namespace {
 
 using Params = std::tuple<unsigned /*n_ops*/, std::uint64_t /*bits*/,
                           unsigned /*max_rows*/>;
+
+/// A step's group within one op: groups rotate across ranks and rows, so
+/// (rank, row) of the step's address names the group one-to-one.
+using GroupKey = std::pair<unsigned, unsigned>;
+GroupKey group_of(const PlanStep& s) { return {s.at.rank, s.at.row}; }
 
 class SchedulerProps : public ::testing::TestWithParam<Params> {
  protected:
@@ -51,15 +58,15 @@ TEST_P(SchedulerProps, ChainCoversAllOperands) {
   (void)bits;
   (void)max_rows;
   const auto plan = make_plan(BitOp::kOr);
-  const auto groups = plan.steps.empty() ? 1 : plan.steps.back().group + 1;
-  std::map<std::uint64_t, unsigned> opened;
-  std::map<std::uint64_t, unsigned> steps_per_group;
+  std::map<GroupKey, unsigned> opened;
+  std::map<GroupKey, unsigned> steps_per_group;
   for (const auto& s : plan.steps) {
-    const bool first = steps_per_group[s.group]++ == 0;
-    opened[s.group] += first ? s.rows : s.rows - 1;
+    const bool first = steps_per_group[group_of(s)]++ == 0;
+    opened[group_of(s)] += first ? s.rows : s.rows - 1;
   }
-  for (std::uint64_t g = 0; g < groups; ++g)
-    EXPECT_EQ(opened[g], n) << "group " << g;
+  ASSERT_FALSE(opened.empty());
+  for (const auto& [g, rows] : opened)
+    EXPECT_EQ(rows, n) << "group at rank " << g.first << " row " << g.second;
 }
 
 TEST_P(SchedulerProps, BitsConserved) {
@@ -67,9 +74,9 @@ TEST_P(SchedulerProps, BitsConserved) {
   (void)n;
   (void)max_rows;
   const auto plan = make_plan(BitOp::kOr);
-  std::map<std::uint64_t, std::uint64_t> bits_per_group;
+  std::map<GroupKey, std::uint64_t> bits_per_group;
   for (const auto& s : plan.steps)
-    bits_per_group[s.group] = s.bits;  // all steps of a group agree
+    bits_per_group[group_of(s)] = s.bits;  // all steps of a group agree
   std::uint64_t total = 0;
   for (const auto& [g, b] : bits_per_group) total += b;
   EXPECT_EQ(total, bits);

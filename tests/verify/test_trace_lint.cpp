@@ -175,5 +175,89 @@ TEST(TraceLint, StatsSummaryIsWellFormedJson) {
   EXPECT_NE(summary.find("\"spans\":"), std::string::npos);
 }
 
+TEST(TraceLint, SummaryEscapesControlCharacters) {
+  // The category arrives JSON-escaped and is stored unescaped; the summary
+  // must escape it again, or a raw newline makes the file invalid JSON.
+  const std::string json = synthetic(
+      span(0.0, 1.0, "intra\\nsub"),
+      "\"max_span_end_ns\":1000.0,\"spans\":1,\"counters\":{}");
+  TraceStats stats;
+  const Report rep = lint_trace_text(json, &stats);
+  ASSERT_EQ(stats.spans_by_category.count("intra\nsub"), 1u)
+      << rep.to_string();
+  const std::string summary = stats.to_json(rep);
+  for (const char c : summary)
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << summary;
+  EXPECT_NE(summary.find("\"intra\\nsub\":1"), std::string::npos)
+      << summary;
+}
+
+TEST(TraceLint, DeepNestingTripsT01) {
+  // Unbounded recursion in the reader would overflow the stack here.
+  const std::size_t levels = 100000;
+  for (const std::string& open : {std::string("["), std::string("{\"a\":")}) {
+    std::string deep;
+    for (std::size_t i = 0; i < levels; ++i) deep += open;
+    deep += "0";
+    deep += std::string(levels, open == "[" ? ']' : '}');
+    const Report rep = lint_trace_text(deep);
+    ASSERT_TRUE(rep.tripped(Rule::kTraceParse)) << rep.to_string();
+    EXPECT_NE(rep.diags[0].message.find("depth"), std::string::npos)
+        << rep.diags[0].message;
+  }
+}
+
+TEST(TraceLint, ModestNestingStillParses) {
+  // Well below the cap: an extra otherData field nested 32 deep is fine.
+  const std::string nest = std::string(32, '[') + std::string(32, ']');
+  const std::string json = synthetic(
+      span(0.0, 1.0),
+      "\"max_span_end_ns\":1000.0,\"spans\":1,\"counters\":{},"
+      "\"extra\":" + nest);
+  const Report rep = lint_trace_text(json);
+  EXPECT_TRUE(rep.ok()) << rep.to_string();
+}
+
+TEST(TraceLint, MutatedRealTracesNeverCrash) {
+  // Seeded mutation loop over a real exported trace: byte flips,
+  // truncation, and inserted runs of brackets and quotes.  Whatever the
+  // damage, the linter returns a report that names only trace rules.
+  core::PimRuntime pim;
+  const std::string base = runtime_trace_json(pim);
+  ASSERT_TRUE(lint_trace_text(base).ok());
+  const char kInserts[] = {'[', ']', '{', '}', '"', ',', ':', '\\'};
+  Rng rng(2024);
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string text = base;
+    const int edits = 1 + static_cast<int>(rng.uniform_u64(4));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = rng.uniform_u64(text.size());
+      switch (rng.uniform_u64(4)) {
+        case 0:  // flip one bit of one byte
+          text[at] = static_cast<char>(text[at] ^ (1u << rng.uniform_u64(8)));
+          break;
+        case 1:  // truncate
+          text.resize(at);
+          break;
+        case 2: {  // a run of one bracket or quote, up to well past the cap
+          const char c = kInserts[rng.uniform_u64(sizeof kInserts)];
+          text.insert(at, 1 + rng.uniform_u64(200), c);
+          break;
+        }
+        default:  // a random byte
+          text[at] = static_cast<char>(rng.uniform_u64(256));
+          break;
+      }
+    }
+    const Report rep = lint_trace_text(text);
+    for (const Diagnostic& d : rep.diags)
+      EXPECT_TRUE(d.rule == Rule::kTraceParse ||
+                  d.rule == Rule::kTracePastMakespan ||
+                  d.rule == Rule::kTraceTrackOverlap ||
+                  d.rule == Rule::kTraceCounterMismatch)
+          << "iteration " << iter << ": " << d.to_string();
+  }
+}
+
 }  // namespace
 }  // namespace pinatubo::verify

@@ -97,7 +97,6 @@ TEST_F(VerifierTest, HostReadWritebackTripsP08) {
   auto& tail = plan.steps.back();
   ASSERT_EQ(tail.kind, StepKind::kHostRead);
   tail.writeback = true;
-  tail.write = tail.reads[0];
   const Report rep = verifier_.check(plan);
   EXPECT_TRUE(rep.tripped(Rule::kWriteBypassNoSense)) << rep.to_string();
 }
@@ -129,9 +128,15 @@ TEST_F(VerifierTest, OutOfRangeRowTripsP04) {
   EXPECT_TRUE(rep.tripped(Rule::kAddrOutOfRange)) << rep.to_string();
 }
 
+TEST_F(VerifierTest, OutOfRangeStepAddressTripsP04) {
+  OpPlan plan = plan_of(BitOp::kOr, 4);
+  plan.steps[0].at.row = geo_.rows_per_subarray;  // the row it writes back
+  expect_only(verifier_.check(plan), Rule::kAddrOutOfRange);
+}
+
 TEST_F(VerifierTest, CrossChannelReadTripsP05) {
   OpPlan plan = plan_of(BitOp::kOr, 4);
-  plan.steps[0].reads[0].channel = plan.steps[0].channel + 1;
+  plan.steps[0].reads[0].channel = plan.steps[0].at.channel + 1;
   const Report rep = verifier_.check(plan);
   // The forged channel is also outside the 1-channel default geometry.
   EXPECT_TRUE(rep.tripped(Rule::kCrossChannel) ||
@@ -145,10 +150,16 @@ TEST_F(VerifierTest, BankedReadTripsP06) {
   expect_only(verifier_.check(plan), Rule::kClusterMismatch);
 }
 
+TEST_F(VerifierTest, BankedStepAddressTripsP06) {
+  OpPlan plan = plan_of(BitOp::kOr, 4);
+  plan.steps[0].at.bank = 1;  // PIM steps broadcast the cluster too
+  expect_only(verifier_.check(plan), Rule::kClusterMismatch);
+}
+
 TEST_F(VerifierTest, ForeignSubarrayReadTripsP06) {
   OpPlan plan = plan_of(BitOp::kOr, 4);
   plan.steps[0].reads[0].subarray =
-      (plan.steps[0].subarray + 1) % geo_.subarrays_per_bank;
+      (plan.steps[0].at.subarray + 1) % geo_.subarrays_per_bank;
   expect_only(verifier_.check(plan), Rule::kClusterMismatch);
 }
 
@@ -163,14 +174,6 @@ TEST_F(VerifierTest, ReadColsMismatchTripsP10) {
   ASSERT_FALSE(plan.steps[0].read_cols.empty());
   plan.steps[0].read_cols.pop_back();
   expect_only(verifier_.check(plan), Rule::kReadColsMismatch);
-}
-
-TEST_F(VerifierTest, ForeignWriteTargetTripsP11) {
-  OpPlan plan = plan_of(BitOp::kOr, 4);
-  ASSERT_TRUE(plan.steps[0].writeback);
-  plan.steps[0].write.row =
-      (plan.steps[0].write.row + 1) % geo_.rows_per_subarray;
-  expect_only(verifier_.check(plan), Rule::kWriteKeyMismatch);
 }
 
 // ---- command automaton (P12) -----------------------------------------------
@@ -282,7 +285,7 @@ TEST_F(ScheduleTest, OverlappingRankWindowsTripH03) {
   for (std::size_t i = 0; i < r.schedule.size() && !mutated; ++i) {
     auto& ss = r.schedule[i];
     const auto& s = plans_[ss.plan].steps[ss.step];
-    const auto key = std::make_pair(s.channel, s.rank);
+    const auto key = std::make_pair(s.at.channel, s.at.rank);
     const auto it = first_on.find(key);
     if (it == first_on.end()) {
       first_on.emplace(key, i);

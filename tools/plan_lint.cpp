@@ -14,7 +14,6 @@
 // Exit status: 0 = every rule held, 1 = diagnostics were reported,
 // 2 = usage / IO error.  CI runs this over every example/bench plan, so an
 // illegal plan or a dishonest schedule fails the build, not a benchmark.
-#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -118,9 +117,7 @@ int main(int argc, char** argv) {
         opt.tech = nvm::tech_from_string(v);
       } else if (const char* v = value("--max-rows")) {
         num.set("--max-rows", v);
-        const std::uint64_t rows = num.get_u64("--max-rows", opt.max_rows);
-        PIN_CHECK_MSG(rows <= UINT_MAX, "--max-rows out of range: " << v);
-        opt.max_rows = static_cast<unsigned>(rows);
+        opt.max_rows = num.get_u32("--max-rows", opt.max_rows);
       } else if (const char* v = value("--scale")) {
         num.set("--scale", v);
         opt.scale = num.get_double("--scale", opt.scale);
