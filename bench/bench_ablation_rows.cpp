@@ -9,20 +9,29 @@
 #include "circuit/latency_model.hpp"
 #include "common/table.hpp"
 #include "mem/area_model.hpp"
+#include "mem/timing.hpp"
+#include "pinatubo/cost_model.hpp"
 
 using namespace pinatubo;
 
 int main() {
   const circuit::LatencyModel model(nvm::cell_params(nvm::Tech::kPcm));
+  // One 128-row OR over a full row group: 32 column stripes, written back.
+  core::PlanStep or128;
+  or128.rows = 128;
+  or128.col_steps = 32;
+  const double cmds =
+      static_cast<double>(
+          core::PinatuboCostModel({}, nvm::Tech::kPcm).command_count(or128)) *
+      mem::ddr3_1600_bus().cmd_slot_ns;
 
   Table t("Ablation — subarray height (derived timing, PCM)");
   t.set_header({"rows", "tRCD ns", "tCL ns", "tWR ns", "128-row OR @2^19",
                 "periphery mm^2"});
   for (const unsigned rows : {64u, 128u, 256u, 512u}) {
     const auto d = model.derive(rows, 1024);
-    // One 128-row OR over a full row group under this triplet:
-    // cmds + tRCD + 31*tCL + tWR (see PinatuboCostModel).
-    const double cmds = (1 + 1 + 128 + 32 + 1) * 1.25;
+    // The same OR under this triplet: cmds + tRCD + 31*tCL + tWR (see
+    // PinatuboCostModel::step_cost).
     const double op_ns = cmds + d.t_rcd_ns + 31 * d.t_cl_ns + d.t_wr_ns;
 
     mem::Geometry geo;  // constant capacity: trade rows vs subarrays

@@ -68,11 +68,9 @@ int main(int argc, char** argv) {
 
   sim::SdramBackend sdram;
   sim::AcPimBackend acpim;
-  const auto verify = reliability::VerifyLevel::kAlways;
-  core::PinatuboBackend pin2(
-      {}, {.tech = nvm::Tech::kPcm, .max_rows = 2, .verify = verify});
-  core::PinatuboBackend pin128(
-      {}, {.tech = nvm::Tech::kPcm, .max_rows = 128, .verify = verify});
+  core::PinatuboBackend pin2({}, {.tech = nvm::Tech::kPcm, .max_rows = 2});
+  core::PinatuboBackend pin128({},
+                               {.tech = nvm::Tech::kPcm, .max_rows = 128});
   pin128.set_trace(&trace);
   sim::IdealBackend ideal(sim::MemKind::kPcm);
 

@@ -5,19 +5,23 @@
 //
 // Build & run:  ./examples/sensing_explorer [tech=pcm] [rows=128]
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "circuit/margin.hpp"
+#include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 
 using namespace pinatubo;
 using namespace pinatubo::circuit;
 
-int main(int argc, char** argv) {
-  const auto tech = nvm::tech_from_string(argc > 1 ? argv[1] : "pcm");
-  const unsigned rows =
-      argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 128;
+namespace {
+
+int run(int argc, char** argv) {
+  const Config cfg = Config::from_args({argv + 1, argv + argc});
+  const auto tech = nvm::tech_from_string(cfg.get_or("tech", "pcm"));
+  const unsigned rows = cfg.get_u32("rows", 128);
+  PIN_CHECK_MSG(rows >= 2, "rows = " << rows << ": an OR senses >= 2 rows");
   const auto& cell = nvm::cell_params(tech);
   const CsaModel csa;
 
@@ -55,4 +59,17 @@ int main(int argc, char** argv) {
   std::printf("\nderived max OR rows for %s: %u\n", nvm::to_string(tech),
               derived_max_or_rows(tech, csa));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A bad argument (tech=foo, rows=abc, rows=1) is a usage error: exit 2
+  // with the message instead of terminating.
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "sensing_explorer: %s\n", e.what());
+    return 2;
+  }
 }

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "apps/vector_workload.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "obs/trace.hpp"
@@ -24,7 +25,9 @@
 
 using namespace pinatubo;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s (--demo | <trace-file> [--trace-out <json>])\n",
@@ -83,4 +86,17 @@ int main(int argc, char** argv) {
                 trace_out.c_str(), sched_trace.spans().size());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // An unreadable or malformed trace is a usage error: exit 2 with the
+  // message instead of terminating.
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "trace_runner: %s\n", e.what());
+    return 2;
+  }
 }

@@ -36,6 +36,7 @@ mem::Cost PinatuboBackend::op_cost(BitOp op,
 sim::BackendResult PinatuboBackend::execute(const sim::OpTrace& trace) {
   PinatuboCostModel model(geo_, cfg_.tech, trace.result_density);
   classes_ = {};
+  report_ = {};
   sim::BackendResult result;
   std::vector<OpPlan> plans;
   plans.reserve(trace.ops.size());
@@ -56,10 +57,10 @@ sim::BackendResult PinatuboBackend::execute(const sim::OpTrace& trace) {
   const ExecutionEngine::Result r = engine.run(plans);
   if (cfg_.verify != reliability::VerifyLevel::kOff) {
     const verify::Verifier verifier(model, cfg_.max_rows);
-    const verify::Report rep = verifier.check(plans, r, cfg_.serial);
-    PIN_CHECK_MSG(rep.ok(), "static verifier rejected trace '"
-                                << trace.name << "':\n"
-                                << rep.to_string());
+    report_ = verifier.check(plans, r, cfg_.serial);
+    PIN_CHECK_MSG(report_.ok(), "static verifier rejected trace '"
+                                    << trace.name << "':\n"
+                                    << report_.to_string());
   }
   if (trace_ && trace_->enabled()) {
     trace_t0_ = obs::render_schedule(*trace_, plans, r, trace_t0_);

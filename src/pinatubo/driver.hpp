@@ -162,9 +162,8 @@ class PimRuntime {
   /// The recovery manager (nullptr when no verify mode is configured).
   reliability::RecoveryManager* recovery() { return relmgr_.get(); }
   /// The static verifier (nullptr when `reliability.verify.level` is off).
-  /// At kAlways every submitted plan passes the protocol pass and every
-  /// batch the full three-pass check; kPost skips the per-submit check.  A
-  /// violation throws `Error` with the verifier's diagnostics.
+  /// Every batch passes the full three-pass check at flush (a sync op is a
+  /// batch of one); a violation throws `Error` with the diagnostics.
   verify::Verifier* verifier() { return verifier_.get(); }
 
   /// Tears the runtime down to a fresh campaign: every vector freed, the

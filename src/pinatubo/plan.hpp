@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "bitvec/bitvector.hpp"
@@ -82,7 +81,6 @@ struct OpPlan {
     for (const auto& s : steps) n += s.kind == k;
     return n;
   }
-  std::string summary() const;
 };
 
 }  // namespace pinatubo::core

@@ -1,7 +1,6 @@
 #include "pinatubo/scheduler.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "common/error.hpp"
 
@@ -19,15 +18,6 @@ const char* to_string(StepKind k) {
       return "host-read";
   }
   return "?";
-}
-
-std::string OpPlan::summary() const {
-  std::ostringstream os;
-  os << pinatubo::to_string(op) << '/' << bits << "b:";
-  os << " intra=" << count(StepKind::kIntraSub)
-     << " inter-sub=" << count(StepKind::kInterSub)
-     << " inter-bank=" << count(StepKind::kInterBank);
-  return os.str();
 }
 
 OpScheduler::OpScheduler(const mem::Geometry& geo, const SchedulerConfig& cfg)

@@ -34,8 +34,6 @@ const char* to_string(VerifyLevel v) {
   switch (v) {
     case VerifyLevel::kOff:
       return "off";
-    case VerifyLevel::kPost:
-      return "post";
     case VerifyLevel::kAlways:
       return "always";
   }
@@ -96,9 +94,8 @@ WriteVerify parse_write_verify(const std::string& s) {
 
 VerifyLevel parse_verify_level(const std::string& s) {
   if (s == "off") return VerifyLevel::kOff;
-  if (s == "post") return VerifyLevel::kPost;
   if (s == "always") return VerifyLevel::kAlways;
-  PIN_UNREACHABLE("verify.level = '" + s + "'; expected off|post|always");
+  PIN_UNREACHABLE("verify.level = '" + s + "'; expected off|always");
 }
 
 }  // namespace
@@ -123,10 +120,7 @@ Policy policy_from_config(const Config& cfg) {
   p.verify.sense = parse_sense_verify(cfg.get_or("verify.sense", verify_def));
   p.verify.writes =
       parse_write_verify(cfg.get_or("verify.writes", verify_def));
-  // An empty default keeps the build-type default (always in Debug, off in
-  // Release) unless the config says otherwise.
-  const std::string level = cfg.get_or("verify.level", "");
-  if (!level.empty()) p.verify.level = parse_verify_level(level);
+  p.verify.level = parse_verify_level(cfg.get_or("verify.level", "always"));
 
   const std::uint64_t resense = cfg.get_u64("retry.max_resense", 2);
   PIN_CHECK_MSG(resense <= 1000, "retry.max_resense = " << resense

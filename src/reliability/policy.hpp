@@ -16,10 +16,9 @@
 //   verify.*  — detection, priced honestly through the cost model:
 //     verify.sense = none | double | readback
 //     verify.writes = none | parity | readback
-//     verify.level = off | post | always    static verifier (DESIGN.md §11):
-//                    `post` checks the full batch after scheduling, `always`
-//                    additionally checks each plan at submit time.  Defaults
-//                    to `always` in Debug builds, `off` in Release.
+//     verify.level = off | always    static verifier (DESIGN.md §11):
+//                    `always` (the default in every build) checks each
+//                    batch's plans, schedule and accounting at flush.
 //
 //   retry.*   — the escalation ladder:
 //     retry.max_resense       extra sense attempts before de-escalating
@@ -55,14 +54,11 @@ enum class WriteVerify : std::uint8_t {
   kReadback,  ///< read the row back and compare — exact
 };
 
-/// How hard the static plan/schedule verifier (`verify::Verifier`) gates
-/// the runtime.  It prices every step again and re-derives the hazard
-/// graph, so Release builds default to `kOff` while Debug builds keep the
-/// full wall up.
+/// Whether the static plan/schedule verifier (`verify::Verifier`) gates
+/// the runtime and the Pinatubo backend.
 enum class VerifyLevel : std::uint8_t {
   kOff,     ///< never run the verifier
-  kPost,    ///< verify each batch (plans + schedule + accounting) at flush
-  kAlways,  ///< kPost, plus a protocol check of every plan at submit
+  kAlways,  ///< verify each batch (plans + schedule + accounting) at flush
 };
 
 const char* to_string(SenseVerify v);
@@ -82,11 +78,7 @@ struct FaultConfig {
 struct VerifyConfig {
   SenseVerify sense = SenseVerify::kNone;
   WriteVerify writes = WriteVerify::kNone;
-#ifdef NDEBUG
-  VerifyLevel level = VerifyLevel::kOff;
-#else
   VerifyLevel level = VerifyLevel::kAlways;
-#endif
 };
 
 struct RetryConfig {

@@ -256,6 +256,39 @@ TEST(Reliability, RemapHealsPersistentlyBadRows) {
     EXPECT_EQ(pim.pim_read(vecs[i]), golden[i]) << "vector " << i;
 }
 
+TEST(Reliability, RemapInsideAnOrChainPassesTheVerifier) {
+  // bench_endurance's wear-out corner: a 64-operand OR chained 2 rows at a
+  // time wears its accumulator row out, and write-verify remaps it mid-op.
+  // The remap is a row copy and must pass the verifier as one (a 1-row OR
+  // activation trips P03).
+  PimRuntime::Options opts;
+  opts.max_rows = 2;
+  opts.reliability.fault.enabled = true;
+  opts.reliability.fault.endurance_cycles = 500;
+  opts.reliability.fault.wearout_rate = 0.1;
+  opts.reliability.verify.writes = reliability::WriteVerify::kReadback;
+  opts.reliability.verify.level = reliability::VerifyLevel::kAlways;
+  opts.reliability.retry.spare_rows = 16;
+  PimRuntime pim({}, opts);
+  const std::uint64_t bits = 1ull << 14;
+  Rng rng(5);
+  std::vector<PimRuntime::Handle> vecs;
+  std::vector<BitVector> golden;
+  std::vector<const BitVector*> operands;
+  for (int i = 0; i < 64; ++i) {
+    vecs.push_back(pim.pim_malloc(bits));
+    golden.push_back(BitVector::random(bits, 0.3, rng));
+    pim.pim_write(vecs.back(), golden.back());
+  }
+  for (const auto& g : golden) operands.push_back(&g);
+  const BitVector want = BitVector::reduce(BitOp::kOr, operands);
+  for (int round = 0; round < 40 && pim.stats().remaps == 0; ++round)
+    ASSERT_NO_THROW(pim.pim_op(BitOp::kOr, vecs, vecs.back()))
+        << "round " << round;
+  EXPECT_GE(pim.stats().remaps, 1u);
+  EXPECT_EQ(pim.pim_read(vecs.back()), want);
+}
+
 TEST(Reliability, ResetCampaignMakesCampaignsIndependent) {
   // Two identical campaigns back to back in one process: the second must
   // reproduce the first bit for bit — vectors, counters, wear and cost.

@@ -181,11 +181,5 @@ TEST_F(SchedulerTest, SttAndDemotesToBufferPath) {
   EXPECT_EQ(xor_plan.steps[0].kind, StepKind::kIntraSub);
 }
 
-TEST_F(SchedulerTest, PlanSummaryReadable) {
-  auto ps = alloc_n(3, 1ull << 14);
-  const auto plan = sched_.plan(BitOp::kOr, {ps[0], ps[1]}, ps[2], false);
-  EXPECT_NE(plan.summary().find("intra=1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace pinatubo::core

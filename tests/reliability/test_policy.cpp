@@ -90,6 +90,18 @@ TEST(Policy, BadEnumValuesRejected) {
   EXPECT_THROW(parse("verify.writes = ecc\n"), Error);
 }
 
+TEST(Policy, VerifyLevelIsOffOrAlways) {
+  // The verifier is on by default in every build; `off` is the only other
+  // value, and the diagnostic for anything else names both.
+  EXPECT_EQ(VerifyConfig{}.level, VerifyLevel::kAlways);
+  EXPECT_EQ(parse("").verify.level, VerifyLevel::kAlways);
+  EXPECT_EQ(parse("verify.level = off\n").verify.level, VerifyLevel::kOff);
+  EXPECT_EQ(parse("verify.level = always\n").verify.level,
+            VerifyLevel::kAlways);
+  const std::string msg = error_of("verify.level = post\n");
+  EXPECT_NE(msg.find("expected off|always"), std::string::npos) << msg;
+}
+
 TEST(Policy, RatesMustLieInUnitInterval) {
   EXPECT_THROW(parse("fault.sense_ber = 1.5\n"), Error);
   EXPECT_THROW(parse("fault.stuck_rate = -0.1\n"), Error);

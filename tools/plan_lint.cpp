@@ -24,51 +24,14 @@
 #include "apps/workloads.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
-#include "pinatubo/allocator.hpp"
-#include "pinatubo/cost_model.hpp"
-#include "pinatubo/engine.hpp"
-#include "pinatubo/scheduler.hpp"
+#include "pinatubo/backend.hpp"
 #include "sim/trace_io.hpp"
 #include "verify/rules.hpp"
 #include "verify/trace_lint.hpp"
-#include "verify/verifier.hpp"
 
 using namespace pinatubo;
 
 namespace {
-
-struct LintOptions {
-  nvm::Tech tech = nvm::Tech::kPcm;
-  unsigned max_rows = 128;
-  bool serial = false;
-  double scale = 0.05;
-};
-
-/// Lints one op trace end to end: plans from the scheduler, a schedule
-/// from the engine, all three verifier passes.  Mirrors how
-/// PinatuboBackend prices traces, so what CI lints is what benches run.
-verify::Report lint_op_trace(const sim::OpTrace& trace,
-                             const LintOptions& opt) {
-  const mem::Geometry geo;
-  core::RowAllocator alloc(geo, core::AllocPolicy::kPimAware);
-  core::OpScheduler sched(geo, core::SchedulerConfig{opt.max_rows, opt.tech});
-  const core::PinatuboCostModel model(geo, opt.tech, trace.result_density);
-
-  std::vector<core::OpPlan> plans;
-  plans.reserve(trace.ops.size());
-  for (const auto& op : trace.ops) {
-    std::vector<core::Placement> srcs;
-    srcs.reserve(op.srcs.size());
-    for (const auto id : op.srcs)
-      srcs.push_back(alloc.virtual_placement(id, op.bits));
-    const core::Placement dst = alloc.virtual_placement(op.dst, op.bits);
-    plans.push_back(sched.plan(op.op, srcs, dst, op.host_reads_result));
-  }
-  const core::ExecutionEngine engine(model, core::EngineOptions{opt.serial});
-  const core::ExecutionEngine::Result result = engine.run(plans);
-  const verify::Verifier verifier(model, opt.max_rows);
-  return verifier.check(plans, result, opt.serial);
-}
 
 /// Prints a lint outcome; returns 1 on diagnostics, 0 when clean.
 int report_outcome(const std::string& what, const verify::Report& rep) {
@@ -79,6 +42,20 @@ int report_outcome(const std::string& what, const verify::Report& rep) {
   std::fprintf(stderr, "plan_lint: %s: %zu finding(s)\n%s", what.c_str(),
                rep.diags.size(), rep.to_string().c_str());
   return 1;
+}
+
+/// Lints one op trace by pricing it on the Pinatubo backend with the
+/// verifier on (plans, schedule and accounting through all passes), so
+/// what CI lints is what benches run.  Findings return 1; any other Error
+/// (e.g. a scheduler rejection) propagates.
+int lint_op_trace(core::PinatuboBackend& backend, const std::string& what,
+                  const sim::OpTrace& trace) {
+  try {
+    backend.execute(trace);
+  } catch (const Error&) {
+    if (backend.last_report().ok()) throw;
+  }
+  return report_outcome(what, backend.last_report());
 }
 
 int usage(const char* argv0) {
@@ -96,7 +73,9 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  LintOptions opt;
+  core::PinatuboBackendConfig cfg;
+  cfg.verify = reliability::VerifyLevel::kAlways;
+  double scale = 0.05;
   std::vector<std::string> trace_files;
   std::string spec, chrome_trace, summary_out;
   bool suite = false;
@@ -114,13 +93,13 @@ int main(int argc, char** argv) {
       // on an unsigned value and overflow throw an Error naming the flag.
       Config num;
       if (const char* v = value("--tech")) {
-        opt.tech = nvm::tech_from_string(v);
+        cfg.tech = nvm::tech_from_string(v);
       } else if (const char* v = value("--max-rows")) {
         num.set("--max-rows", v);
-        opt.max_rows = num.get_u32("--max-rows", opt.max_rows);
+        cfg.max_rows = num.get_u32("--max-rows", cfg.max_rows);
       } else if (const char* v = value("--scale")) {
         num.set("--scale", v);
-        opt.scale = num.get_double("--scale", opt.scale);
+        scale = num.get_double("--scale", scale);
       } else if (const char* v = value("--spec")) {
         spec = v;
       } else if (const char* v = value("--trace")) {
@@ -128,7 +107,7 @@ int main(int argc, char** argv) {
       } else if (const char* v = value("--summary")) {
         summary_out = v;
       } else if (arg == "--serial") {
-        opt.serial = true;
+        cfg.serial = true;
       } else if (arg == "--suite") {
         suite = true;
       } else if (arg == "--help" || arg == "-h" ||
@@ -165,18 +144,17 @@ int main(int argc, char** argv) {
         f << stats.to_json(rep) << '\n';
       }
     }
-    if (!spec.empty()) {
-      const auto trace =
-          apps::vector_trace(apps::VectorSpec::parse(spec));
-      status |= report_outcome("spec " + spec, lint_op_trace(trace, opt));
-    }
+    core::PinatuboBackend backend({}, cfg);
+    if (!spec.empty())
+      status |= lint_op_trace(
+          backend, "spec " + spec,
+          apps::vector_trace(apps::VectorSpec::parse(spec)));
     if (suite)
-      for (const auto& named : apps::paper_workloads(opt.scale))
-        status |= report_outcome(named.group + "/" + named.name,
-                                 lint_op_trace(named.trace, opt));
+      for (const auto& named : apps::paper_workloads(scale))
+        status |= lint_op_trace(backend, named.group + "/" + named.name,
+                                named.trace);
     for (const std::string& file : trace_files)
-      status |= report_outcome(
-          file, lint_op_trace(sim::load_trace_file(file), opt));
+      status |= lint_op_trace(backend, file, sim::load_trace_file(file));
   } catch (const Error& e) {
     std::fprintf(stderr, "plan_lint: %s\n", e.what());
     return 2;
