@@ -5,14 +5,15 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/config.hpp"
 #include "common/units.hpp"
 #include "pinatubo/backend.hpp"
 
 using namespace pinatubo;
 using namespace pinatubo::bench;
 
-int main(int argc, char** argv) {
-  const double scale = parse_scale(argc, argv, 0.25);
+int run(const Args& args) {
+  const double scale = args.values.get_fraction("--scale", 0.25);
   const auto workloads = apps::paper_workloads(scale);
 
   core::PinatuboBackend aware({}, {nvm::Tech::kPcm, 128,
@@ -42,4 +43,8 @@ int main(int argc, char** argv) {
   t.add_note("paths, erasing the multi-row activation advantage");
   t.print();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, {.options = {"--scale"}}, run);
 }

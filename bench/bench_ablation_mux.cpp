@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "mem/area_model.hpp"
@@ -12,7 +13,7 @@
 
 using namespace pinatubo;
 
-int main() {
+int run(const Args&) {
   Table t("Ablation — SA column-MUX sharing");
   t.set_header({"mux", "sense step bits", "128-row OR @2^19", "GBps",
                 "point A at 2^", "SA area mm^2"});
@@ -40,3 +41,5 @@ int main() {
   t.print();
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

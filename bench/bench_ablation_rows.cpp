@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "circuit/latency_model.hpp"
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "mem/area_model.hpp"
 #include "mem/timing.hpp"
@@ -14,7 +15,7 @@
 
 using namespace pinatubo;
 
-int main() {
+int run(const Args&) {
   const circuit::LatencyModel model(nvm::cell_params(nvm::Tech::kPcm));
   // One 128-row OR over a full row group: 32 column stripes, written back.
   core::PlanStep or128;
@@ -51,3 +52,5 @@ int main() {
   t.print();
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

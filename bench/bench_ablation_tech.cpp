@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "circuit/margin.hpp"
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "pinatubo/backend.hpp"
@@ -13,7 +14,7 @@
 
 using namespace pinatubo;
 
-int main() {
+int run(const Args&) {
   // One 128-operand OR over full row groups, sequential placements.
   sim::OpTrace trace;
   trace.name = "128-seq-or";
@@ -47,3 +48,5 @@ int main() {
   t.print();
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

@@ -15,6 +15,7 @@
 
 #include "apps/bitmap_index.hpp"
 #include "bitvec/wah.hpp"
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "pinatubo/backend.hpp"
@@ -22,7 +23,7 @@
 
 using namespace pinatubo;
 
-int main() {
+int run(const Args&) {
   const apps::IndexConfig cfg;
   const apps::BitmapIndex index(cfg, 17);
 
@@ -86,3 +87,5 @@ int main() {
   std::printf("\nPinatubo-128 over CPU+WAH: %.1fx\n", wah_time / pin_time);
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

@@ -17,6 +17,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "pinatubo/driver.hpp"
@@ -30,7 +31,7 @@ struct WearResult {
   double op_time_ns;
 };
 
-WearResult run(unsigned max_rows) {
+WearResult run_wear(unsigned max_rows) {
   core::PimRuntime::Options opts;
   opts.max_rows = max_rows;
   core::PimRuntime pim(mem::Geometry{}, opts);
@@ -101,10 +102,10 @@ WearoutRun run_wearout() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string json_path = bench::parse_json_path(argc, argv);
-  const auto pin128 = run(128);
-  const auto pin2 = run(2);
+int run(const Args& args) {
+  const std::string json_path = args.values.get_or("--json", "");
+  const auto pin128 = run_wear(128);
+  const auto pin2 = run_wear(2);
 
   // PCM cell endurance ~1e8; assume the DIMM sustains ops back-to-back.
   const double endurance = 1e8;
@@ -200,4 +201,8 @@ int main(int argc, char** argv) {
   rep.add("wearout_remaps", static_cast<double>(wo.remaps));
   rep.write(json_path);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, {.options = {"--json"}}, run);
 }

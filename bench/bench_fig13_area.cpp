@@ -6,12 +6,13 @@
 // and/or 0.02% (intra-sub total 0.13%).
 #include <cstdio>
 
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "mem/area_model.hpp"
 
 using namespace pinatubo;
 
-int main() {
+int run(const Args&) {
   const mem::AreaModel model(nvm::cell_params(nvm::Tech::kPcm),
                              mem::Geometry{});
   const auto base = model.baseline();
@@ -52,3 +53,5 @@ int main() {
   brk.print();
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

@@ -5,13 +5,14 @@
 
 #include "circuit/csa.hpp"
 #include "circuit/reference.hpp"
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "nvm/cell.hpp"
 
 using namespace pinatubo;
 using namespace pinatubo::circuit;
 
-int main() {
+int run(const Args&) {
   for (const auto tech :
        {nvm::Tech::kPcm, nvm::Tech::kSttMram, nvm::Tech::kReRam}) {
     const auto& cell = nvm::cell_params(tech);
@@ -44,3 +45,5 @@ int main() {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

@@ -6,13 +6,14 @@
 #include <cstdio>
 
 #include "circuit/csa.hpp"
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "nvm/cell.hpp"
 
 using namespace pinatubo;
 using namespace pinatubo::circuit;
 
-int main() {
+int run(const Args&) {
   const CsaModel csa;
   int failures = 0;
 
@@ -85,3 +86,5 @@ int main() {
               failures);
   return failures == 0 ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

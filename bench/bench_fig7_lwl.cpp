@@ -5,12 +5,13 @@
 #include <cstdio>
 
 #include "circuit/lwl_driver.hpp"
+#include "common/config.hpp"
 #include "common/table.hpp"
 
 using namespace pinatubo;
 using namespace pinatubo::circuit;
 
-int main() {
+int run(const Args&) {
   // Paper-style stimulus: RESET pulse, then decode rows 0 and 2; row 1
   // never addressed; a second RESET at 4 ns releases everything.
   const std::vector<LwlEvent> events{
@@ -49,3 +50,5 @@ int main() {
               failures == 0 ? "LATCH BEHAVIOUR CORRECT" : "FAILURES");
   return failures == 0 ? 0 : 1;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

@@ -29,6 +29,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "common/config.hpp"
 #include "obs/trace.hpp"
 #include "pinatubo/backend.hpp"
 #include "sim/acpim_backend.hpp"
@@ -57,10 +58,10 @@ double max_of(const std::vector<double>& xs) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const double scale = parse_scale(argc, argv);
-  const std::string json_path = parse_json_path(argc, argv);
-  const std::string trace_path = parse_trace_path(argc, argv);
+int run(const Args& args) {
+  const double scale = args.values.get_fraction("--scale", 1.0);
+  const std::string json_path = args.values.get_or("--json", "");
+  const std::string trace_path = args.values.get_or("--trace-out", "");
   obs::TraceSession trace(!trace_path.empty());
 
   const auto workloads = apps::paper_workloads(scale);
@@ -180,4 +181,9 @@ int main(int argc, char** argv) {
   frac.add_note("paper: dblp 1.37x, Fastbit ~1.29x, overall 1.12x");
   frac.print();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv,
+                  {.options = {"--scale", "--json", "--trace-out"}}, run);
 }

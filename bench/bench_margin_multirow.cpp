@@ -8,12 +8,13 @@
 #include <cstdio>
 
 #include "circuit/margin.hpp"
+#include "common/config.hpp"
 #include "common/table.hpp"
 
 using namespace pinatubo;
 using namespace pinatubo::circuit;
 
-int main() {
+int run(const Args&) {
   const CsaModel csa;
   Rng rng(2024);
 
@@ -54,3 +55,5 @@ int main() {
       "multi-row AND cannot distinguish Rlow/(n-1)||Rhigh from Rlow/n.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

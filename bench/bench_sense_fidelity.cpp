@@ -16,6 +16,7 @@
 
 #include "bench_util.hpp"
 #include "circuit/csa.hpp"
+#include "common/config.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "mem/mainmem.hpp"
@@ -100,12 +101,11 @@ std::vector<BitVector> sense_sequence(const mem::Geometry& g,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(const Args& args) {
   // Absent: 0, the pool default (PINATUBO_THREADS or hardware concurrency).
-  const std::string threads_arg = bench::parse_path_arg(argc, argv, "threads");
-  const unsigned threads = parse_thread_count(
-      threads_arg.empty() ? "0" : threads_arg, "--threads");
-  const std::string json_path = bench::parse_json_path(argc, argv);
+  const unsigned threads =
+      parse_thread_count(args.values.get_or("--threads", "0"), "--threads");
+  const std::string json_path = args.values.get_or("--json", "");
   ThreadPool::set_global_threads(threads);
 
   mem::Geometry g;  // evaluated machine: 64 Kb functional rows
@@ -153,4 +153,8 @@ int main(int argc, char** argv) {
   report.add("determinism", identical ? "pass" : "fail");
   report.write(json_path);
   return identical ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, {.options = {"--threads", "--json"}}, run);
 }

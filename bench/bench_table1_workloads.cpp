@@ -6,14 +6,15 @@
 
 #include "bench_util.hpp"
 #include "apps/graph.hpp"
+#include "common/config.hpp"
 #include "common/units.hpp"
 #include "pinatubo/backend.hpp"
 
 using namespace pinatubo;
 using namespace pinatubo::bench;
 
-int main(int argc, char** argv) {
-  const double scale = parse_scale(argc, argv);
+int run(const Args& args) {
+  const double scale = args.values.get_fraction("--scale", 1.0);
   const auto workloads = apps::paper_workloads(scale);
 
   Table t("Table 1 — benchmarks and data sets (characterized)");
@@ -61,4 +62,8 @@ int main(int argc, char** argv) {
   }
   g.print();
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, {.options = {"--scale"}}, run);
 }

@@ -1,12 +1,9 @@
 #include "bench_util.hpp"
 
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
-#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "obs/trace.hpp"
@@ -84,50 +81,6 @@ Table matrix_table(const std::string& title, const RatioMatrix& m) {
   for (const double g : m.gmean) grow.push_back(Table::mult(g));
   t.add_row(grow);
   return t;
-}
-
-double parse_scale(int argc, char** argv, double def) {
-  const std::string v = parse_path_arg(argc, argv, "scale");
-  if (v.empty()) return def;
-  Config arg;
-  arg.set("--scale", v);
-  const double scale = arg.get_double("--scale", def);
-  PIN_CHECK_MSG(std::isfinite(scale) && scale > 0.0 && scale <= 1.0,
-                "--scale must be in (0, 1], got " << v);
-  return scale;
-}
-
-bool parse_flag(int argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  for (int i = 1; i < argc; ++i)
-    if (flag == argv[i]) return true;
-  return false;
-}
-
-std::string parse_path_arg(int argc, char** argv, const std::string& name) {
-  const std::string flag = "--" + name;
-  const std::string prefix = flag + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      const std::string value = argv[i] + prefix.size();
-      PIN_CHECK_MSG(!value.empty(), flag << " needs a value");
-      return value;
-    }
-    if (flag == argv[i]) {
-      PIN_CHECK_MSG(i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0,
-                    flag << " needs a value");
-      return argv[i + 1];
-    }
-  }
-  return {};
-}
-
-std::string parse_json_path(int argc, char** argv) {
-  return parse_path_arg(argc, argv, "json");
-}
-
-std::string parse_trace_path(int argc, char** argv) {
-  return parse_path_arg(argc, argv, "trace-out");
 }
 
 namespace {

@@ -61,26 +61,6 @@ RatioMatrix build_matrix(const std::vector<apps::NamedTrace>& workloads,
 /// Renders the matrix as a table (rows: workloads + Gmean).
 Table matrix_table(const std::string& title, const RatioMatrix& m);
 
-/// Workload scale from "--scale=<f>" or "--scale <f>"; `def` when absent.
-/// Throws Error naming the flag unless the value is a number in (0, 1].
-double parse_scale(int argc, char** argv, double def = 1.0);
-
-/// True when `--<name>` appears among the args.
-bool parse_flag(int argc, char** argv, const std::string& name);
-
-/// Path given as "--<name> <path>" or "--<name>=<path>"; empty when absent.
-/// Throws Error naming the flag when its value is missing: the flag is the
-/// last argument, "--<name>=" is empty, or the next argument is a "--" flag.
-std::string parse_path_arg(int argc, char** argv, const std::string& name);
-
-/// Path given as "--json <path>" or "--json=<path>"; empty when absent.
-std::string parse_json_path(int argc, char** argv);
-
-/// Path given as "--trace-out <path>" or "--trace-out=<path>"; empty when
-/// absent.  Benches that price through the execution engine write a
-/// Chrome trace-event JSON of the schedule there (see DESIGN.md §9).
-std::string parse_trace_path(int argc, char** argv);
-
 /// Minimal JSON object writer for machine-readable bench output
 /// (BENCH_*.json files consumed by the perf-trajectory tooling).
 class JsonReport {
@@ -93,7 +73,7 @@ class JsonReport {
   void add_matrix(const std::string& key, const RatioMatrix& m);
 
   /// Writes `{ ... }` to `path` and prints a one-line note; no-op when
-  /// `path` is empty (callers pass parse_json_path's result directly).
+  /// `path` is empty (callers pass their absent `--json` as "").
   void write(const std::string& path) const;
 
  private:

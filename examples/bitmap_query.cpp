@@ -5,17 +5,19 @@
 //
 // Build & run:  ./examples/bitmap_query [queries=20]
 #include <cstdio>
-#include <cstdlib>
 
 #include "apps/bitmap_index.hpp"
+#include "common/config.hpp"
 #include "common/units.hpp"
 #include "pinatubo/driver.hpp"
 
 using namespace pinatubo;
 
-int main(int argc, char** argv) {
-  const std::size_t n_queries =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 20;
+namespace {
+
+int run(const Args& args) {
+  const auto n_queries =
+      static_cast<std::size_t>(args.values.get_u64("queries", 20));
 
   // A small event table so the example runs instantly; the bench suite
   // uses the full STAR-scale configuration.
@@ -88,4 +90,10 @@ int main(int argc, char** argv) {
               units::format_time(pim.cost().time_ns).c_str(),
               units::format_energy(pim.cost().energy.total_pj()).c_str());
   return correct == queries.size() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, {.words = {"queries"}}, run);
 }

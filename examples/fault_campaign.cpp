@@ -18,14 +18,11 @@
 //   campaign.vectors  live vectors (default 24)
 //   campaign.seed     op-stream seed (default 7)
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "obs/trace.hpp"
 #include "pinatubo/driver.hpp"
@@ -35,7 +32,7 @@ using namespace pinatubo;
 
 namespace {
 
-int run(int argc, char** argv) {
+int run(const Args& args) {
   // Campaign defaults model an end-of-life PCM corner: healthy-shape
   // Monte-Carlo yield is ~1 (ber_from_yield ~ 0), so the campaign sets the
   // stressed rates explicitly.  Files/overrides replace them.
@@ -46,41 +43,10 @@ int run(int argc, char** argv) {
       "fault.enabled = true\n"
       "fault.stuck_rate = 1e-7\n"
       "fault.sense_ber = 1e-5\n");
-  std::string json_path, trace_path;
-  bool corrupt = false;
-  std::vector<std::string> overrides;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto path_arg = [&](const char* name, std::string& out) {
-      const std::string pfx = std::string(name) + "=";
-      if (arg.rfind(pfx, 0) == 0) {
-        out = arg.substr(pfx.size());
-        return true;
-      }
-      if (arg == name && i + 1 < argc) {
-        out = argv[++i];
-        return true;
-      }
-      return false;
-    };
-    if (path_arg("--json", json_path) || path_arg("--trace-out", trace_path))
-      continue;
-    if (arg == "--corrupt") {
-      corrupt = true;
-    } else if (arg.find('=') != std::string::npos) {
-      overrides.push_back(arg);
-    } else {
-      std::ifstream f(arg);
-      if (!f) {
-        std::fprintf(stderr, "cannot open config %s\n", arg.c_str());
-        return 1;
-      }
-      std::ostringstream ss;
-      ss << f.rdbuf();
-      cfg.merge(Config::from_string(ss.str()));
-    }
-  }
-  cfg.merge(Config::from_args(overrides));
+  cfg.merge(args.config);
+  const std::string json_path = args.values.get_or("--json", "");
+  const std::string trace_path = args.values.get_or("--trace-out", "");
+  const bool corrupt = args.values.contains("--corrupt");
   ThreadPool::set_global_threads(
       parse_thread_count(cfg.get_or("threads", "0"), "threads"));
 
@@ -224,12 +190,12 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A bad config value (tech=foo, max_rows=abc) is a usage error: exit 2
-  // with the message, as plan_lint does, instead of terminating.
-  try {
-    return run(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "fault_campaign: %s\n", e.what());
-    return 2;
-  }
+  return run_main(argc, argv,
+                  {.switches = {"--corrupt"},
+                   .options = {"--json", "--trace-out"},
+                   .files = true,
+                   .keys = {"tech", "max_rows", "threads", "campaign.ops",
+                            "campaign.vectors", "campaign.seed"},
+                   .sections = {"geometry.", "fault.", "verify.", "retry."}},
+                  run);
 }

@@ -5,11 +5,12 @@
 //
 // Build & run:  ./examples/graph_bfs [nodes_log2=15]
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <queue>
 
 #include "apps/graph.hpp"
+#include "common/config.hpp"
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "pinatubo/driver.hpp"
 
@@ -37,11 +38,11 @@ std::vector<std::uint32_t> cpu_bfs(const apps::Graph& g, std::uint32_t src) {
   return level;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const unsigned nodes_log2 =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 15;
+int run(const Args& args) {
+  const unsigned nodes_log2 = args.values.get_u32("nodes_log2", 15);
+  PIN_CHECK_MSG(nodes_log2 <= 31,
+                "nodes_log2 = " << nodes_log2
+                                << ": node ids are 32-bit, so at most 31");
   apps::GraphGenParams gp;
   gp.nodes = 1u << nodes_log2;
   gp.avg_degree = 8;
@@ -126,4 +127,10 @@ int main(int argc, char** argv) {
               units::format_time(pim.cost().time_ns).c_str(),
               units::format_energy(pim.cost().energy.total_pj()).c_str());
   return mismatches == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, {.words = {"nodes_log2"}}, run);
 }

@@ -7,13 +7,9 @@
 // `--trace-out` writes the demo batch's schedule as Chrome trace-event
 // JSON (open in chrome://tracing or ui.perfetto.dev).
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "circuit/margin.hpp"
 #include "common/config.hpp"
-#include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -27,30 +23,9 @@ using namespace pinatubo;
 
 namespace {
 
-int run(int argc, char** argv) {
-  Config cfg;
-  std::vector<std::string> overrides;
-  std::string trace_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_path = arg.substr(std::strlen("--trace-out="));
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg.find('=') != std::string::npos) {
-      overrides.push_back(arg);
-    } else {
-      std::ifstream f(arg);
-      if (!f) {
-        std::fprintf(stderr, "cannot open config %s\n", arg.c_str());
-        return 1;
-      }
-      std::ostringstream ss;
-      ss << f.rdbuf();
-      cfg.merge(Config::from_string(ss.str()));
-    }
-  }
-  cfg.merge(Config::from_args(overrides));
+int run(const Args& args) {
+  const Config& cfg = args.config;
+  const std::string trace_path = args.values.get_or("--trace-out", "");
 
   // Functional-simulation pool size; 0 defers to PINATUBO_THREADS, then
   // hardware_concurrency (results are thread-count invariant).
@@ -60,6 +35,9 @@ int run(int argc, char** argv) {
   const auto geo = mem::geometry_from_config(cfg);
   const auto tech = nvm::tech_from_string(cfg.get_or("tech", "pcm"));
   const auto max_rows = cfg.get_u32("max_rows", 128);
+  // Active fault-injection / recovery policy (validated: typos in
+  // fault.*/verify.*/retry.* keys fail loudly here).
+  const auto relpol = reliability::policy_from_config(cfg);
 
   Table t("Machine");
   t.set_header({"property", "value"});
@@ -81,9 +59,6 @@ int run(int argc, char** argv) {
   t.print();
   std::printf("\n");
 
-  // Active fault-injection / recovery policy (validated: typos in
-  // fault.*/verify.*/retry.* keys fail loudly here).
-  const auto relpol = reliability::policy_from_config(cfg);
   Table rp("Reliability policy");
   rp.set_header({"key", "value"});
   for (const auto& [k, v] : reliability::describe(relpol)) rp.add_row({k, v});
@@ -175,12 +150,10 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A bad config value (tech=foo, max_rows=abc) is a usage error: exit 2
-  // with the message, as plan_lint does, instead of terminating.
-  try {
-    return run(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "machine_explorer: %s\n", e.what());
-    return 2;
-  }
+  return run_main(argc, argv,
+                  {.options = {"--trace-out"},
+                   .files = true,
+                   .keys = {"tech", "max_rows", "threads"},
+                   .sections = {"geometry.", "fault.", "verify.", "retry."}},
+                  run);
 }

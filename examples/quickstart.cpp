@@ -8,12 +8,13 @@
 // Build & run:  ./examples/quickstart
 #include <cstdio>
 
+#include "common/config.hpp"
 #include "common/units.hpp"
 #include "pinatubo/driver.hpp"
 
 using namespace pinatubo;
 
-int main() {
+int run(const Args&) {
   // A Pinatubo-enabled PCM main memory with command recording on.
   core::PimRuntime::Options opts;
   opts.tech = nvm::Tech::kPcm;
@@ -84,3 +85,5 @@ int main() {
   std::printf("  ... (%zu commands total)\n", cmds.size());
   return 0;
 }
+
+int main(int argc, char** argv) { return run_main(argc, argv, {}, run); }

@@ -17,8 +17,8 @@ using namespace pinatubo::circuit;
 
 namespace {
 
-int run(int argc, char** argv) {
-  const Config cfg = Config::from_args({argv + 1, argv + argc});
+int run(const Args& args) {
+  const Config& cfg = args.config;
   const auto tech = nvm::tech_from_string(cfg.get_or("tech", "pcm"));
   const unsigned rows = cfg.get_u32("rows", 128);
   PIN_CHECK_MSG(rows >= 2, "rows = " << rows << ": an OR senses >= 2 rows");
@@ -64,12 +64,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A bad argument (tech=foo, rows=abc, rows=1) is a usage error: exit 2
-  // with the message instead of terminating.
-  try {
-    return run(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "sensing_explorer: %s\n", e.what());
-    return 2;
-  }
+  return run_main(argc, argv, {.keys = {"tech", "rows"}}, run);
 }

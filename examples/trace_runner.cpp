@@ -9,11 +9,10 @@
 // Trace files use the line format of src/sim/trace_io.hpp, so they can be
 // produced by any tool (or by hand) and shared between machines.
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "apps/vector_workload.hpp"
-#include "common/error.hpp"
+#include "common/config.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "obs/trace.hpp"
@@ -27,34 +26,25 @@ using namespace pinatubo;
 
 namespace {
 
-int run(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s (--demo | <trace-file> [--trace-out <json>])\n",
-                 argv[0]);
-    return 1;
-  }
-  std::string trace_out;
-  for (int i = 2; i < argc; ++i) {
-    const bool joined = std::strncmp(argv[i], "--trace-out=", 12) == 0;
-    if (!joined && std::strcmp(argv[i], "--trace-out") != 0) continue;
-    const char* path = joined ? argv[i] + 12 : (i + 1 < argc ? argv[++i] : "");
-    if (*path == '\0' || (!joined && std::strncmp(path, "--", 2) == 0)) {
-      std::fprintf(stderr, "%s: --trace-out needs a path\n", argv[0]);
-      return 1;
-    }
-    trace_out = path;
-  }
-  if (std::strcmp(argv[1], "--demo") == 0) {
+int run(const char* argv0, const Args& args) {
+  const std::string trace_out = args.values.get_or("--trace-out", "");
+  if (args.values.contains("--demo")) {
     const auto trace =
         apps::vector_trace(apps::VectorSpec::parse("14-10-5s"));
     sim::save_trace_file(trace, "demo.trace");
     std::printf("wrote demo.trace (%zu ops); run:\n  %s demo.trace\n",
-                trace.op_count(), argv[0]);
+                trace.op_count(), argv0);
     return 0;
   }
+  const auto path = args.values.get("trace-file");
+  if (!path) {
+    std::fprintf(stderr,
+                 "usage: %s (--demo | <trace-file> [--trace-out <json>])\n",
+                 argv0);
+    return 1;
+  }
 
-  const auto trace = sim::load_trace_file(argv[1]);
+  const auto trace = sim::load_trace_file(*path);
   std::printf("trace '%s': %zu ops, %s of operand data\n\n",
               trace.name.c_str(), trace.op_count(),
               units::format_bytes(trace.total_src_bits() / 8).c_str());
@@ -91,12 +81,9 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // An unreadable or malformed trace is a usage error: exit 2 with the
-  // message instead of terminating.
-  try {
-    return run(argc, argv);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "trace_runner: %s\n", e.what());
-    return 2;
-  }
+  return run_main(argc, argv,
+                  {.switches = {"--demo"},
+                   .options = {"--trace-out"},
+                   .words = {"trace-file"}},
+                  [&](const Args& args) { return run(argv[0], args); });
 }

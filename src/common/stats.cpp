@@ -1,48 +1,10 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/error.hpp"
 
 namespace pinatubo {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double geomean(const std::vector<double>& xs) {
   PIN_CHECK(!xs.empty());
@@ -52,62 +14,6 @@ double geomean(const std::vector<double>& xs) {
     log_sum += std::log(x);
   }
   return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double percentile(std::vector<double> xs, double p) {
-  PIN_CHECK(!xs.empty());
-  PIN_CHECK(p >= 0.0 && p <= 100.0);
-  // NaN breaks operator<'s strict weak ordering (sort is UB) and would
-  // poison the interpolation; reject it up front.
-  for (const double x : xs)
-    PIN_CHECK_MSG(!std::isnan(x), "percentile: NaN sample");
-  std::sort(xs.begin(), xs.end());
-  const double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  PIN_CHECK(hi > lo);
-  PIN_CHECK(bins > 0);
-}
-
-void Histogram::add(double x) {
-  // Casting a NaN fraction to an integer is UB; clamping cannot save it.
-  PIN_CHECK_MSG(!std::isnan(x), "Histogram::add: NaN sample");
-  // Clamp in double space: casting an out-of-range double (e.g. from an
-  // infinite sample) to an integer is UB too.
-  const double last = static_cast<double>(counts_.size()) - 1.0;
-  const double frac = (x - lo_) / (hi_ - lo_);
-  const double scaled =
-      std::clamp(frac * static_cast<double>(counts_.size()), 0.0, last);
-  ++counts_[static_cast<std::size_t>(scaled)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
-
-std::string Histogram::to_string(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / peak;
-    os.setf(std::ios::fixed);
-    os.precision(4);
-    os << '[' << bin_low(i) << ", " << bin_high(i) << ") ";
-    for (std::size_t j = 0; j < bar; ++j) os << '#';
-    os << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace pinatubo

@@ -1,58 +1,12 @@
-// Small statistics toolkit used by the evaluation harness:
-// running accumulators, geometric means (the paper reports Gmean bars),
-// percentiles, and histogram summaries for Monte-Carlo margin analysis.
+// Geometric mean: the paper reports Gmean bars over each figure's
+// workloads.
 #pragma once
 
-#include <cstddef>
-#include <string>
 #include <vector>
 
 namespace pinatubo {
 
-/// Streaming accumulator: count, mean, variance (Welford), min/max.
-class RunningStats {
- public:
-  void add(double x);
-  void merge(const RunningStats& other);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  double variance() const;  ///< sample variance (n-1 denominator)
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Geometric mean of strictly-positive values; throws on non-positive input.
 double geomean(const std::vector<double>& xs);
-
-/// p-th percentile (0..100) using linear interpolation; input copied/sorted.
-double percentile(std::vector<double> xs, double p);
-
-/// Fixed-bin histogram over [lo, hi]; out-of-range samples clamp to edge bins.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t total() const { return total_; }
-  const std::vector<std::size_t>& bins() const { return counts_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-  /// Render as a terse multi-line ASCII sparkbar block.
-  std::string to_string(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace pinatubo

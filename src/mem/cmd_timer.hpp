@@ -22,44 +22,24 @@ class ChannelTimer {
  public:
   ChannelTimer(unsigned n_banks, const BusParams& bus);
 
-  /// Issues a command to `bank`: waits for a command-bus slot and for the
-  /// bank to be free, then occupies the bank for `occupy_ns`.
-  /// Returns the completion time of the bank operation.
-  double issue(unsigned bank, double occupy_ns);
-
-  /// Like `issue`, but the command additionally waits until `ready_ns`
-  /// (a data dependency on an earlier operation).
+  /// Issues a command to `bank`: waits for a command-bus slot, for the
+  /// bank to be free and until `ready_ns` (a data dependency on an earlier
+  /// operation), then occupies the bank for `occupy_ns`.  Returns the
+  /// completion time of the bank operation.
   double issue_after(unsigned bank, double ready_ns, double occupy_ns);
 
-  /// Like `issue` but the command applies to every bank simultaneously
-  /// (lock-step multi-bank PIM step): one bus slot, all banks occupied.
-  double issue_all_banks(double occupy_ns);
-
-  /// Command plus a data burst of `bytes`: the burst occupies the data bus
-  /// after the bank operation completes, and the bank stays busy until the
-  /// burst drains (its buffers hold the outgoing data).  Returns burst
-  /// completion time.
-  double issue_data(unsigned bank, double occupy_ns, std::uint64_t bytes);
-
-  /// Like `issue_data`, but the command additionally waits until `ready_ns`
-  /// (a data dependency on an earlier operation).  The burst still
-  /// serializes on the shared data bus.  Returns burst completion time.
+  /// `issue_after` plus a data burst of `bytes`: the burst occupies the
+  /// shared data bus after the bank operation completes, and the bank stays
+  /// busy until the burst drains (its buffers hold the outgoing data).
+  /// Returns burst completion time.
   double issue_data_after(unsigned bank, double ready_ns, double occupy_ns,
                           std::uint64_t bytes);
 
-  /// Data-bus transfer of a result already in a buffer (e.g. a CPU read):
-  /// consumes one command-bus slot, then serializes on the data bus.
-  double transfer(std::uint64_t bytes);
-
   /// Latest completion time across all resources.
   double finish_ns() const;
-  double now_cmd_bus() const { return cmd_free_; }
   /// Earliest time a command to `bank` could start (bank + command bus
   /// free); lets a scheduler pick the next issue without mutating state.
   double bank_free_ns(unsigned bank) const;
-  unsigned bank_count() const { return static_cast<unsigned>(banks_.size()); }
-
-  void reset();
 
  private:
   double cmd_slot_ns_;

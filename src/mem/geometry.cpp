@@ -22,6 +22,13 @@ void Geometry::validate() const {
 }
 
 Geometry geometry_from_config(const Config& cfg) {
+  static const std::vector<std::string> kKeys = {
+      "geometry.channels", "geometry.ranks",          "geometry.chips",
+      "geometry.banks",    "geometry.subarrays",      "geometry.mats",
+      "geometry.rows",     "geometry.row_slice_bits", "geometry.sa_mux_share"};
+  cfg.check_keys("geometry", kKeys, [](const std::string& key) {
+    return key.rfind("geometry.", 0) == 0;
+  });
   Geometry g;
   g.channels = cfg.get_u32("geometry.channels", g.channels);
   g.ranks_per_channel = cfg.get_u32("geometry.ranks", g.ranks_per_channel);

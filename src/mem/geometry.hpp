@@ -64,7 +64,8 @@ struct Geometry {
 };
 
 /// Builds a geometry from `geometry.*` config keys (missing keys keep the
-/// defaults above); validates before returning.  Keys:
+/// defaults above); validates before returning, and rejects any other
+/// `geometry.*` key by name.  Keys:
 ///   geometry.channels, geometry.ranks, geometry.chips, geometry.banks,
 ///   geometry.subarrays, geometry.mats, geometry.rows,
 ///   geometry.row_slice_bits, geometry.sa_mux_share

@@ -52,22 +52,6 @@ struct PlanStep {
   /// First column stripe of each read (buffer path: the alignment shifter
   /// in the global row buffer maps each operand's window onto the dst's).
   std::vector<unsigned> read_cols;
-
-  // ---- resource annotations (execution-engine scheduling) ---------------
-  /// Global id of the execution resource this step occupies: the lock-step
-  /// bank cluster, i.e. one rank of one channel.  Steps with different
-  /// resource ids can overlap in time (different ranks/channels); steps
-  /// sharing one serialize on it.
-  unsigned resource(unsigned ranks_per_channel) const {
-    return at.channel * ranks_per_channel + at.rank;
-  }
-  /// Whether the step moves real data over the shared DDR data bus (host
-  /// result bursts and cross-rank operand hops); such transfers serialize
-  /// at the channel bandwidth even across ranks.
-  bool uses_data_bus() const {
-    return kind == StepKind::kHostRead ||
-           (kind == StepKind::kInterBank && crosses_rank);
-  }
 };
 
 /// A lowered logical operation.

@@ -42,7 +42,7 @@ const char* to_string(VerifyLevel v) {
 
 namespace {
 
-constexpr const char* kKnownKeys[] = {
+const std::vector<std::string> kKnownKeys = {
     "fault.enabled",     "fault.seed",
     "fault.stuck_rate",  "fault.sense_ber",
     "fault.drift_rate",  "fault.endurance_cycles",
@@ -56,19 +56,6 @@ constexpr const char* kKnownKeys[] = {
 bool reliability_prefixed(const std::string& key) {
   return key.rfind("fault.", 0) == 0 || key.rfind("verify.", 0) == 0 ||
          key.rfind("retry.", 0) == 0;
-}
-
-void reject_unknown_keys(const Config& cfg) {
-  for (const auto& [key, value] : cfg.entries()) {
-    if (!reliability_prefixed(key)) continue;
-    bool known = false;
-    for (const char* k : kKnownKeys) known |= key == k;
-    if (known) continue;
-    std::ostringstream os;
-    os << "unknown reliability key '" << key << "'; valid keys:";
-    for (const char* k : kKnownKeys) os << ' ' << k;
-    PIN_CHECK_MSG(false, os.str());
-  }
 }
 
 double rate_in_01(const Config& cfg, const std::string& key, double def) {
@@ -101,7 +88,7 @@ VerifyLevel parse_verify_level(const std::string& s) {
 }  // namespace
 
 Policy policy_from_config(const Config& cfg) {
-  reject_unknown_keys(cfg);
+  cfg.check_keys("reliability", kKnownKeys, reliability_prefixed);
 
   Policy p;
   p.fault.enabled = cfg.get_bool("fault.enabled", false);

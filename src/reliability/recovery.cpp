@@ -33,9 +33,8 @@ RecoveryManager::RecoveryManager(mem::MainMemory& mem, const Policy& policy,
                   "retry.remap needs a spare-row source (SpareFn)");
 }
 
-RecoveryManager::WriteReport RecoveryManager::write(const mem::RowAddr& addr,
-                                                    std::size_t bit_offset,
-                                                    const BitVector& data) {
+void RecoveryManager::write(const mem::RowAddr& addr, std::size_t bit_offset,
+                            const BitVector& data) {
   // The intended post-write image: prior stored content (trusted, because
   // every write routes through here and was verified) overlaid with `data`.
   const std::size_t row_bits = mem_.geometry().rank_row_bits();
@@ -46,18 +45,15 @@ RecoveryManager::WriteReport RecoveryManager::write(const mem::RowAddr& addr,
 
   mem_.write_row_partial(addr, bit_offset, data);
 
-  WriteReport report;
-  if (policy_.verify.writes == WriteVerify::kNone) return report;
+  if (policy_.verify.writes == WriteVerify::kNone) return;
   if (policy_.verify.writes == WriteVerify::kParity)
     update_parity(addr, expected);
-  if (row_ok(addr, expected)) return report;
+  if (row_ok(addr, expected)) return;
 
   ++counters_.detected_faults;
-  ++report.detected;
   // Without remap, detection is diagnostic only — the corruption stays
   // stored and downstream results show it.
-  if (policy_.retry.remap) remap_rank_row(addr, expected, report);
-  return report;
+  if (policy_.retry.remap) remap_rank_row(addr, expected);
 }
 
 bool RecoveryManager::row_ok(const mem::RowAddr& addr,
@@ -71,8 +67,7 @@ bool RecoveryManager::row_ok(const mem::RowAddr& addr,
 }
 
 void RecoveryManager::remap_rank_row(const mem::RowAddr& addr,
-                                     const BitVector& expected,
-                                     WriteReport& report) {
+                                     const BitVector& expected) {
   // Lock-step activation broadcasts one row index across the rank's banks,
   // so the whole rank-row moves together.  Capture every bank's intended
   // content BEFORE touching the translation table: the failing bank gets
@@ -101,7 +96,6 @@ void RecoveryManager::remap_rank_row(const mem::RowAddr& addr,
       mem_.write_row(logical[b], corrected[b]);
     }
     ++counters_.remaps;
-    ++report.remaps;
     // Remaps are rare; verify the copy with an exact read-back compare
     // regardless of the configured (possibly cheaper) verify mode.
     bool ok = true;

@@ -48,18 +48,13 @@ class RecoveryManager {
 
   RecoveryManager(mem::MainMemory& mem, const Policy& policy, SpareFn spares);
 
-  struct WriteReport {
-    unsigned detected = 0;  ///< verify mismatches seen
-    unsigned remaps = 0;    ///< rank-row remaps performed
-  };
-
   /// Writes `data` into the row at `bit_offset` with verify-after-write
   /// per the policy.  On persistent mismatch escalates to a rank-wide
   /// spare-row remap (when `retry.remap`); throws when spares run out.
   /// With `retry.remap` off, detections are counted but corruption stays —
   /// a diagnostic mode for measuring raw fault rates.
-  WriteReport write(const mem::RowAddr& addr, std::size_t bit_offset,
-                    const BitVector& data);
+  void write(const mem::RowAddr& addr, std::size_t bit_offset,
+             const BitVector& data);
 
   /// Digital recompute of op over the stored operand rows, windowed —
   /// the read-back reference a sense attempt is verified against.
@@ -78,8 +73,7 @@ class RecoveryManager {
   /// Moves the whole rank-row of `addr` to a fresh spare, rewriting
   /// `expected` for `addr`'s bank and the stored contents for the others;
   /// retries with further spares until the copy verifies.
-  void remap_rank_row(const mem::RowAddr& addr, const BitVector& expected,
-                      WriteReport& report);
+  void remap_rank_row(const mem::RowAddr& addr, const BitVector& expected);
   /// Updates the maintained parity words of `addr` from its intended image.
   void update_parity(const mem::RowAddr& addr, const BitVector& expected);
 

@@ -93,76 +93,6 @@ TEST_F(MatrixFixture, TableListsGroupsOfTheSelectedRows) {
   EXPECT_EQ(text.find("Vector"), std::string::npos);
 }
 
-// argv as the benches receive it: argv[0] is the program name.
-double scale_of(std::vector<std::string> args, double def = 1.0) {
-  args.insert(args.begin(), "bench");
-  std::vector<char*> argv;
-  for (auto& a : args) argv.push_back(a.data());
-  return parse_scale(static_cast<int>(argv.size()), argv.data(), def);
-}
-
-TEST(ParseScale, AcceptsEqualsAndSpaceForms) {
-  EXPECT_DOUBLE_EQ(scale_of({"--scale=0.05"}), 0.05);
-  EXPECT_DOUBLE_EQ(scale_of({"--scale", "0.05"}), 0.05);
-  EXPECT_DOUBLE_EQ(scale_of({"--json", "x.json", "--scale", "0.25"}), 0.25);
-  EXPECT_DOUBLE_EQ(scale_of({"--scale=1"}), 1.0);
-}
-
-TEST(ParseScale, DefaultWhenAbsent) {
-  EXPECT_DOUBLE_EQ(scale_of({}), 1.0);
-  EXPECT_DOUBLE_EQ(scale_of({"--json", "x.json"}, 0.25), 0.25);
-}
-
-TEST(ParseScale, RejectsMalformedAndOutOfRangeValues) {
-  for (const char* bad : {"0.05x", "", "x", "0", "-0.5", "1.5", "nan", "inf",
-                          "1e999"}) {
-    SCOPED_TRACE(bad);
-    EXPECT_THROW(scale_of({std::string("--scale=") + bad}), Error);
-  }
-  EXPECT_THROW(scale_of({"--scale"}), Error);
-  EXPECT_THROW(scale_of({"--scale", "2"}), Error);
-}
-
-// parse_path_arg's result for `args`, or the Error message it threw.
-std::string path_of(std::vector<std::string> args) {
-  args.insert(args.begin(), "bench");
-  std::vector<char*> argv;
-  for (auto& a : args) argv.push_back(a.data());
-  try {
-    return parse_path_arg(static_cast<int>(argv.size()), argv.data(), "json");
-  } catch (const Error& e) {
-    return std::string("error: ") + e.what();
-  }
-}
-
-bool names_missing_json(const std::string& result) {
-  return result.rfind("error: ", 0) == 0 &&
-         result.find("--json needs a value") != std::string::npos;
-}
-
-TEST(ParsePathArg, AcceptsEqualsAndSpaceForms) {
-  EXPECT_EQ(path_of({"--json=a.json"}), "a.json");
-  EXPECT_EQ(path_of({"--json", "a.json"}), "a.json");
-  EXPECT_EQ(path_of({"--serial", "--json", "a.json", "--trace-out", "t"}),
-            "a.json");
-  EXPECT_EQ(path_of({"--trace-out", "t.json"}), "");
-}
-
-TEST(ParsePathArg, RejectsFlagAsLastArgument) {
-  EXPECT_TRUE(names_missing_json(path_of({"--json"})));
-  EXPECT_TRUE(names_missing_json(path_of({"--serial", "--json"})));
-}
-
-TEST(ParsePathArg, RejectsEmptyEqualsValue) {
-  EXPECT_TRUE(names_missing_json(path_of({"--json="})));
-}
-
-TEST(ParsePathArg, RejectsFlagAsValue) {
-  // `--json --trace-out t.json` must not write the report to "--trace-out".
-  EXPECT_TRUE(
-      names_missing_json(path_of({"--json", "--trace-out", "t.json"})));
-}
-
 TEST(JsonReport, EscapesControlCharactersLikeTheTraceWriter) {
   const std::string path = ::testing::TempDir() + "bench_util_escape.json";
   JsonReport r;
@@ -180,15 +110,6 @@ TEST(JsonReport, WriteFailureThrows) {
   JsonReport r;
   r.add("x", 1.0);
   EXPECT_THROW(r.write("/dev/full"), Error);
-}
-
-TEST(ParseScale, ErrorNamesTheFlag) {
-  try {
-    scale_of({"--scale=0.05x"});
-    FAIL() << "no throw";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("--scale"), std::string::npos);
-  }
 }
 
 }  // namespace

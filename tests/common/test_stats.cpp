@@ -2,46 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-
 #include "common/error.hpp"
 
 namespace pinatubo {
 namespace {
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsSafe) {
-  RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, a, b;
-  for (int i = 0; i < 100; ++i) {
-    const double x = i * 0.37 - 5;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
 
 TEST(Geomean, KnownValue) {
   EXPECT_NEAR(geomean({1.0, 100.0}), 10.0, 1e-12);
@@ -51,62 +15,6 @@ TEST(Geomean, KnownValue) {
 TEST(Geomean, RejectsNonPositive) {
   EXPECT_THROW(geomean({1.0, 0.0}), Error);
   EXPECT_THROW(geomean({}), Error);
-}
-
-TEST(Percentile, Endpoints) {
-  std::vector<double> xs{5, 1, 3, 2, 4};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 3.0);
-}
-
-TEST(Percentile, Interpolates) {
-  EXPECT_DOUBLE_EQ(percentile({0.0, 10.0}, 25), 2.5);
-}
-
-TEST(Histogram, CountsAndClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1);   // clamps to first bin
-  h.add(0.5);
-  h.add(9.9);
-  h.add(11);   // clamps to last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.bins()[0], 2u);
-  EXPECT_EQ(h.bins()[4], 2u);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(4), 10.0);
-}
-
-TEST(Percentile, RejectsNaN) {
-  // Regression: NaN in the sample set broke std::sort's strict weak
-  // ordering (UB) and poisoned the interpolation.
-  EXPECT_THROW(percentile({1.0, std::nan(""), 3.0}, 50), Error);
-  EXPECT_THROW(percentile({std::nan("")}, 0), Error);
-}
-
-TEST(Histogram, RejectsNaN) {
-  // Regression: casting a NaN-derived bin fraction to an integer is UB;
-  // in practice it produced a wild index.
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_THROW(h.add(std::nan("")), Error);
-  EXPECT_EQ(h.total(), 0u);
-}
-
-TEST(Histogram, InfinitiesClampToEdgeBins) {
-  // +-inf scaled the bin fraction to +-inf before the (UB) cast; they now
-  // clamp like any other out-of-range sample.
-  Histogram h(0.0, 10.0, 5);
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.total(), 2u);
-  EXPECT_EQ(h.bins()[0], 1u);
-  EXPECT_EQ(h.bins()[4], 1u);
-}
-
-TEST(Histogram, RendersWithoutCrashing) {
-  Histogram h(0, 1, 4);
-  for (int i = 0; i < 10; ++i) h.add(i / 10.0);
-  EXPECT_FALSE(h.to_string().empty());
 }
 
 }  // namespace

@@ -67,6 +67,22 @@ TEST(Geometry, FromConfigRejectsValuesPast32Bits) {
   }
 }
 
+TEST(Geometry, FromConfigRejectsUnknownKey) {
+  // Regression: a typo'd geometry key silently built the default machine.
+  const auto cfg = Config::from_string("geometry.bankz = 4\n");
+  try {
+    geometry_from_config(cfg);
+    ADD_FAILURE() << "geometry.bankz was accepted";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'geometry.bankz'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("geometry.banks"), std::string::npos) << msg;
+  }
+  // Keys outside the section belong to other parsers.
+  EXPECT_NO_THROW(geometry_from_config(
+      Config::from_string("tech = pcm\nfault.enabled = true\n")));
+}
+
 TEST(Geometry, FromConfigReadsDecimal) {
   // Regression: "0200" was octal (128 rows) and "0x80" hex.
   const auto oct = Config::from_string("geometry.rows = 0200\n");

@@ -15,7 +15,6 @@
 // 2 = usage / IO error.  CI runs this over every example/bench plan, so an
 // illegal plan or a dishonest schedule fails the build, not a benchmark.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -70,94 +69,63 @@ int usage(const char* argv0) {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const char* argv0, const Args& args) {
+  const Config& flags = args.values;
+  if (flags.contains("--help")) return usage(argv0);
   core::PinatuboBackendConfig cfg;
   cfg.verify = reliability::VerifyLevel::kAlways;
-  double scale = 0.05;
-  std::vector<std::string> trace_files;
-  std::string spec, chrome_trace, summary_out;
-  bool suite = false;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      auto value = [&](const char* flag) -> const char* {
-        const std::size_t n = std::strlen(flag);
-        if (arg.compare(0, n, flag) == 0 && arg.size() > n && arg[n] == '=')
-          return arg.c_str() + n + 1;
-        if (arg == flag && i + 1 < argc) return argv[++i];
-        return nullptr;
-      };
-      // Numbers go through Config's strict getters: trailing junk, a sign
-      // on an unsigned value and overflow throw an Error naming the flag.
-      Config num;
-      if (const char* v = value("--tech")) {
-        cfg.tech = nvm::tech_from_string(v);
-      } else if (const char* v = value("--max-rows")) {
-        num.set("--max-rows", v);
-        cfg.max_rows = num.get_u32("--max-rows", cfg.max_rows);
-      } else if (const char* v = value("--scale")) {
-        num.set("--scale", v);
-        scale = num.get_double("--scale", scale);
-      } else if (const char* v = value("--spec")) {
-        spec = v;
-      } else if (const char* v = value("--trace")) {
-        chrome_trace = v;
-      } else if (const char* v = value("--summary")) {
-        summary_out = v;
-      } else if (arg == "--serial") {
-        cfg.serial = true;
-      } else if (arg == "--suite") {
-        suite = true;
-      } else if (arg == "--help" || arg == "-h" ||
-                 arg.compare(0, 2, "--") == 0) {
-        return usage(argv[0]);
-      } else {
-        trace_files.push_back(arg);
-      }
-    }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "plan_lint: %s\n", e.what());
-    return 2;
-  }
-  if (!suite && spec.empty() && chrome_trace.empty() && trace_files.empty())
-    return usage(argv[0]);
+  if (const auto tech = flags.get("--tech"))
+    cfg.tech = nvm::tech_from_string(*tech);
+  cfg.max_rows = flags.get_u32("--max-rows", cfg.max_rows);
+  cfg.serial = flags.contains("--serial");
+  const double scale = flags.get_fraction("--scale", 0.05);
+  const std::string spec = flags.get_or("--spec", "");
+  const std::string chrome_trace = flags.get_or("--trace", "");
+  const std::string summary_out = flags.get_or("--summary", "");
+  const bool suite = flags.contains("--suite");
+  if (!suite && spec.empty() && chrome_trace.empty() && args.files.empty())
+    return usage(argv0);
 
   int status = 0;
-  try {
-    if (!chrome_trace.empty()) {
-      verify::TraceStats stats;
-      const verify::Report rep =
-          verify::lint_trace_file(chrome_trace, &stats);
-      status |= report_outcome("trace " + chrome_trace, rep);
-      if (rep.ok())
-        std::printf("  %zu spans on %zu tracks, max end %.1f ns\n",
-                    stats.spans, stats.tracks, stats.max_end_ns);
-      if (!summary_out.empty()) {
-        std::ofstream f(summary_out);
-        if (!f.good()) {
-          std::fprintf(stderr, "plan_lint: cannot write %s\n",
-                       summary_out.c_str());
-          return 2;
-        }
-        f << stats.to_json(rep) << '\n';
+  if (!chrome_trace.empty()) {
+    verify::TraceStats stats;
+    const verify::Report rep = verify::lint_trace_file(chrome_trace, &stats);
+    status |= report_outcome("trace " + chrome_trace, rep);
+    if (rep.ok())
+      std::printf("  %zu spans on %zu tracks, max end %.1f ns\n",
+                  stats.spans, stats.tracks, stats.max_end_ns);
+    if (!summary_out.empty()) {
+      std::ofstream f(summary_out);
+      if (!f.good()) {
+        std::fprintf(stderr, "plan_lint: cannot write %s\n",
+                     summary_out.c_str());
+        return 2;
       }
+      f << stats.to_json(rep) << '\n';
     }
-    core::PinatuboBackend backend({}, cfg);
-    if (!spec.empty())
-      status |= lint_op_trace(
-          backend, "spec " + spec,
-          apps::vector_trace(apps::VectorSpec::parse(spec)));
-    if (suite)
-      for (const auto& named : apps::paper_workloads(scale))
-        status |= lint_op_trace(backend, named.group + "/" + named.name,
-                                named.trace);
-    for (const std::string& file : trace_files)
-      status |= lint_op_trace(backend, file, sim::load_trace_file(file));
-  } catch (const Error& e) {
-    std::fprintf(stderr, "plan_lint: %s\n", e.what());
-    return 2;
   }
+  core::PinatuboBackend backend({}, cfg);
+  if (!spec.empty())
+    status |= lint_op_trace(backend, "spec " + spec,
+                            apps::vector_trace(apps::VectorSpec::parse(spec)));
+  if (suite)
+    for (const auto& named : apps::paper_workloads(scale))
+      status |= lint_op_trace(backend, named.group + "/" + named.name,
+                              named.trace);
+  for (const std::string& file : args.files)
+    status |= lint_op_trace(backend, file, sim::load_trace_file(file));
   return status;
+}
+
+}  // namespace
+
+// Numbers go through Config's strict getters, so trailing junk, a sign on
+// an unsigned value and overflow exit 2 naming the flag.
+int main(int argc, char** argv) {
+  return run_main(argc, argv,
+                  {.switches = {"--serial", "--suite", "--help"},
+                   .options = {"--tech", "--max-rows", "--scale", "--spec",
+                               "--trace", "--summary"},
+                   .files = true},
+                  [&](const Args& args) { return run(argv[0], args); });
 }
