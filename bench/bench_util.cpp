@@ -1,9 +1,9 @@
 #include "bench_util.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "obs/trace.hpp"
@@ -142,14 +142,12 @@ void JsonReport::add_matrix(const std::string& key, const RatioMatrix& m) {
 
 void JsonReport::write(const std::string& path) const {
   if (path.empty()) return;
-  std::ofstream f(path);
-  PIN_CHECK_MSG(f.good(), "cannot write " << path);
-  f << "{\n";
+  std::ostringstream os;
+  os << "{\n";
   for (std::size_t i = 0; i < fields_.size(); ++i)
-    f << "  " << fields_[i] << (i + 1 < fields_.size() ? "," : "") << "\n";
-  f << "}\n";
-  f.flush();
-  PIN_CHECK_MSG(f.good(), "failed writing " << path);
+    os << "  " << fields_[i] << (i + 1 < fields_.size() ? "," : "") << "\n";
+  os << "}\n";
+  write_text_file(path, os.str());
   std::printf("wrote %s\n", path.c_str());
 }
 

@@ -18,7 +18,7 @@
 //   campaign.vectors  live vectors (default 24)
 //   campaign.seed     op-stream seed (default 7)
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -135,7 +135,7 @@ int run(const Args& args) {
       st.fallback_time_ns);
 
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
+    std::ostringstream out;
     out << "{\n"
         << "  \"mode\": \"" << (corrupt ? "corrupt" : "recover") << "\",\n"
         << "  \"ops\": " << n_ops << ",\n"
@@ -152,6 +152,7 @@ int run(const Args& args) {
         << "  \"fallback_time_ns\": " << st.fallback_time_ns << ",\n"
         << "  \"energy_pj\": " << pim.cost().energy.total_pj() << "\n"
         << "}\n";
+    write_text_file(json_path, out.str());
     std::printf("wrote %s\n", json_path.c_str());
   }
   if (trace.enabled()) {

@@ -5,7 +5,6 @@
 //
 // Build & run:  ./examples/sensing_explorer [tech=pcm] [rows=128]
 #include <cstdio>
-#include <fstream>
 
 #include "circuit/margin.hpp"
 #include "common/config.hpp"
@@ -53,7 +52,7 @@ int run(const Args& args) {
 
   const std::string csv = "sensing_" + std::string(nvm::to_string(tech)) +
                           "_" + std::to_string(rows) + "row.csv";
-  std::ofstream(csv) << tr.waveform.to_csv();
+  write_text_file(csv, tr.waveform.to_csv());
   std::printf("\nwaveform dumped to %s\n", csv.c_str());
 
   std::printf("\nderived max OR rows for %s: %u\n", nvm::to_string(tech),

@@ -41,7 +41,11 @@ Config Config::from_string(const std::string& text) {
     const auto eq = line.find('=');
     PIN_CHECK_MSG(eq != std::string::npos,
                   "config line " << lineno << " lacks '=': " << line);
-    cfg.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
+    const std::string key = trim(line.substr(0, eq));
+    PIN_CHECK_MSG(!key.empty(),
+                  "config line " << lineno << ": empty key in '" << line
+                                 << "'");
+    cfg.set(key, trim(line.substr(eq + 1)));
   }
   return cfg;
 }
@@ -161,6 +165,12 @@ Config read_config_file(const std::string& path) {
 }
 
 }  // namespace
+
+void write_text_file(const std::string& path, const std::string& text) {
+  std::ofstream f(path, std::ios::binary);
+  if (f) f << text << std::flush;
+  if (!f) throw Error("cannot write " + path);
+}
 
 Args parse_args(int argc, char** argv, const ArgSpec& spec) {
   const bool takes_overrides = !spec.keys.empty() || !spec.sections.empty();

@@ -54,6 +54,10 @@ class Config {
   std::map<std::string, std::string> map_;
 };
 
+/// Writes `text` to `path`, replacing the file.  Throws Error naming the
+/// path when the file cannot be opened or the write fails.
+void write_text_file(const std::string& path, const std::string& text);
+
 /// What a program's command line may hold; parse_args rejects the rest.
 /// (Each `= {}` lets a designated initializer name only the fields it sets
 /// without a -Wmissing-field-initializers warning.)

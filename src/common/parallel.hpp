@@ -1,11 +1,11 @@
 // Fixed-size thread pool and deterministic parallel_for.
 //
 // Shards the functional-simulation hot paths (analog sensing, Monte-Carlo
-// margin sweeps, per-channel schedule pricing) across cores.  Determinism
-// contract: parallel_for partitions [begin, end) into contiguous chunks and
-// every chunk's work depends only on its own indices (callers derive
-// per-index RNG streams from a counter-based key, never from shared
-// sequential state), so results are bit-identical for 1, 2, or N threads.
+// margin sweeps) across cores.  Determinism contract: parallel_for
+// partitions [begin, end) into contiguous chunks and every chunk's work
+// depends only on its own indices (callers derive per-index RNG streams
+// from a counter-based key, never from shared sequential state), so
+// results are bit-identical for 1, 2, or N threads.
 // Reductions follow the same rule: workers fill per-chunk slots and the
 // caller folds them in chunk order.
 //

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 
 namespace pinatubo::obs {
@@ -103,10 +103,7 @@ std::string TraceSession::to_chrome_json() const {
 }
 
 void TraceSession::write_chrome_json(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  PIN_CHECK_MSG(f.good(), "cannot open trace output " << path);
-  f << to_chrome_json() << '\n';
-  PIN_CHECK_MSG(f.good(), "failed writing trace output " << path);
+  write_text_file(path, to_chrome_json() + '\n');
 }
 
 }  // namespace pinatubo::obs

@@ -35,7 +35,6 @@ mem::Cost PinatuboBackend::op_cost(BitOp op,
 
 sim::BackendResult PinatuboBackend::execute(const sim::OpTrace& trace) {
   PinatuboCostModel model(geo_, cfg_.tech, trace.result_density);
-  classes_ = {};
   report_ = {};
   sim::BackendResult result;
   std::vector<OpPlan> plans;
@@ -47,14 +46,14 @@ sim::BackendResult PinatuboBackend::execute(const sim::OpTrace& trace) {
       srcs.push_back(alloc_.virtual_placement(id, op.bits));
     const Placement dst = alloc_.virtual_placement(op.dst, op.bits);
     plans.push_back(sched_.plan(op.op, srcs, dst, op.host_reads_result));
-    classes_.intra += plans.back().count(StepKind::kIntraSub);
-    classes_.inter_sub += plans.back().count(StepKind::kInterSub);
-    classes_.inter_bank += plans.back().count(StepKind::kInterBank);
   }
   // The whole trace is one batch: the engine overlaps independent ops
   // across ranks (or serializes them under cfg.serial).
   const ExecutionEngine engine(model, EngineOptions{cfg_.serial});
   const ExecutionEngine::Result r = engine.run(plans);
+  const auto steps = [&](StepKind k) { return r.profile.steps[step_index(k)]; };
+  classes_ = {steps(StepKind::kIntraSub), steps(StepKind::kInterSub),
+              steps(StepKind::kInterBank)};
   if (cfg_.verify != reliability::VerifyLevel::kOff) {
     const verify::Verifier verifier(model, cfg_.max_rows);
     report_ = verifier.check(plans, r, cfg_.serial);

@@ -16,8 +16,7 @@ PimRuntime::PimRuntime(const mem::Geometry& geo, const Options& opts)
              opts.reliability.spares_needed() ? opts.reliability.retry.spare_rows
                                               : 0),
       sched_(geo, SchedulerConfig{opts.max_rows, opts.tech}),
-      cost_model_(geo, opts.tech, opts.result_density),
-      engine_(cost_model_, EngineOptions{opts.serial_execution}) {
+      cost_model_(geo, opts.tech), engine_(cost_model_) {
   if (opts_.reliability.fault.enabled) {
     fault_model_ =
         std::make_unique<reliability::FaultModel>(opts_.reliability.fault);
@@ -319,8 +318,7 @@ void PimRuntime::submit(OpPlan plan) {
 void PimRuntime::flush(const std::vector<OpPlan>& plans) {
   const ExecutionEngine::Result r = engine_.run(plans);
   if (verifier_) {
-    const verify::Report rep =
-        verifier_->check(plans, r, opts_.serial_execution);
+    const verify::Report rep = verifier_->check(plans, r);
     PIN_CHECK_MSG(rep.ok(), "static verifier rejected a batch of "
                                 << plans.size() << " plans:\n"
                                 << rep.to_string());

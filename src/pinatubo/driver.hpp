@@ -49,9 +49,7 @@ class PimRuntime {
     mem::SenseFidelity fidelity = mem::SenseFidelity::kNominal;
     AllocPolicy policy = AllocPolicy::kPimAware;
     unsigned max_rows = 128;        ///< Pinatubo-2 vs Pinatubo-128
-    double result_density = 0.5;    ///< SET/RESET mix for write energy
     bool record_commands = false;   ///< keep the lowered DDR stream
-    bool serial_execution = false;  ///< price ops as the serial step sum
     std::uint64_t seed = 1;
     /// Fault injection / detection / recovery (DESIGN.md §10).  Defaults
     /// to everything off — the runtime behaves exactly as without it.

@@ -17,8 +17,9 @@
 //   WAW — a step writing a row waits for the previous writer of that row;
 //   WAR — a step writing a row waits for every reader since that write.
 // Steps with no path between them in this graph may execute in any order;
-// a greedy list scheduler (earliest-ready first, program order as the
-// tie-break) assigns them to their executing rank's timeline.
+// one greedy list-scheduling pass over the whole batch (earliest start
+// first, program order as the tie-break) assigns them to their executing
+// rank's timeline.
 #pragma once
 
 #include <cstdint>

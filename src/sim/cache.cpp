@@ -29,11 +29,9 @@ bool CacheLevel::access(std::uint64_t line_addr) {
   for (unsigned w = 0; w < cfg_.associativity; ++w) {
     if (base[w].valid && base[w].tag == line_addr) {
       base[w].lru = ++tick_;
-      ++hits_;
       return true;
     }
   }
-  ++misses_;
   return false;
 }
 
@@ -57,22 +55,9 @@ std::int64_t CacheLevel::install(std::uint64_t line_addr) {
   return evicted;
 }
 
-void CacheLevel::invalidate(std::uint64_t line_addr) {
-  const std::uint64_t set = line_addr & (n_sets_ - 1);
-  Way* base = &ways_[set * cfg_.associativity];
-  for (unsigned w = 0; w < cfg_.associativity; ++w)
-    if (base[w].valid && base[w].tag == line_addr) base[w].valid = false;
-}
-
-void CacheLevel::reset_stats() {
-  hits_ = 0;
-  misses_ = 0;
-}
-
 void CacheLevel::clear() {
   std::fill(ways_.begin(), ways_.end(), Way{});
   tick_ = 0;
-  reset_stats();
 }
 
 CacheHierarchy::CacheHierarchy(std::vector<CacheLevelConfig> levels) {
@@ -81,22 +66,19 @@ CacheHierarchy::CacheHierarchy(std::vector<CacheLevelConfig> levels) {
   served_.assign(levels_.size() + 1, 0);
 }
 
-AccessOutcome CacheHierarchy::access(std::uint64_t addr, bool is_write) {
+void CacheHierarchy::access(std::uint64_t addr) {
   const std::uint64_t line = addr / levels_.front().config().line_bytes;
-  if (is_write) ++write_lines_;
   for (unsigned l = 0; l < levels_.size(); ++l) {
     if (levels_[l].access(line)) {
       // Fill upward (allocate in the levels that missed).
       for (unsigned u = 0; u < l; ++u) levels_[u].install(line);
       ++served_[l];
-      return {l};
+      return;
     }
   }
   // Memory access; allocate everywhere (write-allocate policy).
   for (auto& lvl : levels_) lvl.install(line);
   ++served_[levels_.size()];
-  ++memory_lines_;
-  return {static_cast<unsigned>(levels_.size())};
 }
 
 const CacheLevel& CacheHierarchy::level(unsigned i) const {
@@ -108,12 +90,7 @@ unsigned CacheHierarchy::line_bytes() const {
   return levels_.front().config().line_bytes;
 }
 
-void CacheHierarchy::reset_stats() {
-  for (auto& l : levels_) l.reset_stats();
-  served_.assign(levels_.size() + 1, 0);
-  memory_lines_ = 0;
-  write_lines_ = 0;
-}
+void CacheHierarchy::reset_stats() { served_.assign(levels_.size() + 1, 0); }
 
 void CacheHierarchy::flush() {
   for (auto& l : levels_) l.clear();

@@ -1,16 +1,11 @@
 #include "sim/cpu_model.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/error.hpp"
 
 namespace pinatubo::sim {
 namespace {
-
-/// Above this many line accesses an op cannot have cache reuse (the
-/// operands dwarf the LLC), so the closed-form streaming path is exact.
-constexpr std::uint64_t kDirectPathAccesses = 1u << 20;
 
 /// Cache levels with an energy component (cpu.L1, cpu.L2, cpu.L3).
 constexpr unsigned kCacheEnergyLevels = 3;
@@ -77,57 +72,39 @@ mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
   const std::uint64_t bytes = (op.bits + 63) / 64 * 8;
   const std::uint64_t lines = (bytes + line - 1) / line;
   const std::uint64_t n_streams = op.srcs.size() + 1;  // +dst
-  const std::uint64_t accesses = lines * n_streams;
   const std::uint64_t processed = bytes * op.srcs.size();
-
-  if (accesses > kDirectPathAccesses) {
-    // Streaming: every source line comes from memory, every dst line is
-    // write-allocated and eventually written back.
-    std::array<std::uint64_t, kCacheEnergyLevels + 1> served{};
-    served[cache.levels()] = accesses;
-    return price(processed, served, lines * op.srcs.size() + lines, lines);
-  }
 
   cache.reset_stats();
   for (std::uint64_t i = 0; i < lines; ++i) {
     for (const auto src : op.srcs)
-      cache.access(vector_base(src, bytes) + i * line, false);
-    cache.access(vector_base(op.dst, bytes) + i * line, true);
+      cache.access(vector_base(src, bytes) + i * line);
+    cache.access(vector_base(op.dst, bytes) + i * line);
   }
-  // Dirty dst lines that will eventually be written back: approximate as
-  // the dst lines that missed everywhere (streaming stores); cached dst
-  // lines get rewritten in place.
+  // Convert the per-level service tallies into the roofline bounds.
   const auto& served = cache.served_lines();
-  const std::uint64_t mem_lines = cache.memory_lines();
-  // Split memory traffic: dst allocations among the misses cause
-  // writebacks; assume misses distribute evenly across streams.
-  const std::uint64_t wb_lines = mem_lines / n_streams;
-  return price(processed, served, mem_lines, wb_lines);
-}
-
-mem::Cost SimdCpuModel::price(std::uint64_t processed_bytes,
-                              std::span<const std::uint64_t> served_lines,
-                              std::uint64_t mem_read_lines,
-                              std::uint64_t mem_write_lines) const {
-  const CacheHierarchy& cache = *cache_;  // built by bulk_op, the only caller
-  const double line = cache.line_bytes();
-  double t = static_cast<double>(processed_bytes) / compute_gbps();
+  const double line_b = static_cast<double>(line);
+  double t = static_cast<double>(processed) / compute_gbps();
   mem::Cost cost;
   for (unsigned l = 0; l < cache.levels(); ++l) {
     const auto& cfg = cache.level(l).config();
-    const double bytes = static_cast<double>(served_lines[l]) * line;
-    t = std::max(t, bytes / cfg.bandwidth_gbps);
+    t = std::max(t, static_cast<double>(served[l]) * line_b /
+                        cfg.bandwidth_gbps);
     cost.energy.add(cache_component(l),
-                    static_cast<double>(served_lines[l]) * cfg.hit_energy_pj);
+                    static_cast<double>(served[l]) * cfg.hit_energy_pj);
   }
-  const double rd_bytes = static_cast<double>(mem_read_lines) * line;
-  const double wr_bytes = static_cast<double>(mem_write_lines) * line;
+  // Memory traffic: every memory-served line is read; the dirty dst lines
+  // that will eventually be written back are the dst allocations among
+  // those misses, assuming misses distribute evenly across streams
+  // (cached dst lines get rewritten in place).
+  const std::uint64_t mem_lines = served[cache.levels()];
+  const double rd_bytes = static_cast<double>(mem_lines) * line_b;
+  const double wr_bytes = static_cast<double>(mem_lines / n_streams) * line_b;
   t = std::max(t, rd_bytes / mem_params_.read_gbps +
                       wr_bytes / mem_params_.write_gbps);
   // Latency bound: misses overlap up to MLP per participating core —
   // the binding constraint for the paper's single-threaded kernels.
-  t = std::max(t, static_cast<double>(mem_read_lines) *
-                      mem_params_.latency_ns / (cfg_.mlp * cfg_.bulk_cores));
+  t = std::max(t, static_cast<double>(mem_lines) * mem_params_.latency_ns /
+                      (cfg_.mlp * cfg_.bulk_cores));
   cost.energy.add(mem::Energy::kMemRead,
                   rd_bytes * 8.0 * mem_params_.read_pj_per_bit);
   cost.energy.add(mem::Energy::kMemWrite,

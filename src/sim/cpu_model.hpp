@@ -9,9 +9,7 @@
 //               miss latency / MLP )
 //
 // which is the standard roofline treatment a cycle-accurate simulator
-// converges to for these streaming kernels.  Very large ops (no reuse
-// possible) switch to the closed-form streaming path — identical result,
-// without simulating millions of lines.
+// converges to for these streaming kernels.
 //
 // The same model prices the *scalar* remainder of applications (frontier
 // scanning, query bookkeeping), which runs on the host in every backend.
@@ -19,7 +17,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "mem/energy.hpp"
 #include "sim/backend.hpp"
@@ -83,11 +80,6 @@ class SimdCpuModel {
   double compute_gbps() const;
 
  private:
-  mem::Cost price(std::uint64_t processed_bytes,
-                  std::span<const std::uint64_t> served_lines,
-                  std::uint64_t mem_read_lines,
-                  std::uint64_t mem_write_lines) const;
-
   CpuConfig cfg_;
   MemKind mem_;
   MemStreamParams mem_params_;

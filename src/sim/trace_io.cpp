@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/config.hpp"
 #include "common/error.hpp"
 
 namespace pinatubo::sim {
@@ -107,9 +108,9 @@ OpTrace load_trace(std::istream& is) {
 }
 
 void save_trace_file(const OpTrace& trace, const std::string& path) {
-  std::ofstream f(path);
-  PIN_CHECK_MSG(f.good(), "cannot open " << path);
-  save_trace(trace, f);
+  std::ostringstream os;
+  save_trace(trace, os);
+  write_text_file(path, os.str());
 }
 
 OpTrace load_trace_file(const std::string& path) {

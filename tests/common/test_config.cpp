@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,33 @@ TEST(Config, DefaultsWhenMissing) {
 
 TEST(Config, ThrowsOnMalformedLine) {
   EXPECT_THROW(Config::from_string("no equals sign"), Error);
+}
+
+TEST(Config, EmptyKeyNamesTheLine) {
+  try {
+    Config::from_string("a = 1\n  = 5  \n");
+    FAIL() << "an empty key was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("config line 2: empty key in '= 5'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Config, WriteTextFileRoundTripsAndNamesAnUnwritablePath) {
+  const std::string path = ::testing::TempDir() + "write_text_file.txt";
+  write_text_file(path, "a\nb\n");
+  std::ifstream f(path);
+  std::ostringstream got;
+  got << f.rdbuf();
+  EXPECT_EQ(got.str(), "a\nb\n");
+  std::remove(path.c_str());
+  try {
+    write_text_file("/nonexistent/x.json", "{}");
+    FAIL() << "writing under a missing directory succeeded";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "cannot write /nonexistent/x.json");
+  }
 }
 
 TEST(Config, ThrowsOnBadTypedValue) {

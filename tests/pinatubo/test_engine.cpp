@@ -4,13 +4,64 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
+#include "common/error.hpp"
+#include "common/random.hpp"
 #include "pinatubo/allocator.hpp"
 #include "pinatubo/cost_model.hpp"
 #include "pinatubo/scheduler.hpp"
 
 namespace pinatubo::core {
 namespace {
+
+/// Prices one fixed-seed batch of ORs on a `channels`-channel machine and
+/// renders it as text: makespan and serial sum, then one line per step in
+/// issue order ("plan.step channel start done bus"), every double as %a.
+/// Four subarrays per bank make placements wrap onto every channel; an op
+/// whose operands wrap onto two channels is rejected by the scheduler and
+/// left out of the batch.
+std::string multi_channel_schedule(unsigned channels, AllocPolicy policy,
+                                   bool serial) {
+  mem::Geometry geo;
+  geo.channels = channels;
+  geo.subarrays_per_bank = 4;
+  const RowAllocator alloc(geo, policy);
+  const OpScheduler sched(geo, SchedulerConfig{128, nvm::Tech::kPcm});
+  const PinatuboCostModel model(geo, nvm::Tech::kPcm);
+  const std::uint64_t bits = geo.row_group_bits();
+  const std::uint64_t quarter = geo.total_bits() / bits / 4;
+  Rng rng(channels);
+  std::vector<OpPlan> plans;
+  while (plans.size() < 5) {
+    const std::uint64_t region = rng.next() % 4;
+    const std::uint64_t base = region * quarter + rng.next() % (8 * channels);
+    std::vector<Placement> srcs;
+    const std::uint64_t fan = 2 + rng.next() % 3;
+    for (std::uint64_t k = 0; k < fan; ++k)
+      srcs.push_back(alloc.virtual_placement(base + 2 * k, bits));
+    const Placement dst =
+        alloc.virtual_placement(base + 1 + rng.next() % 8, bits);
+    const bool host_read = rng.next() % 2 == 0;
+    try {
+      plans.push_back(sched.plan(BitOp::kOr, srcs, dst, host_read));
+    } catch (const Error&) {  // operands on two channels
+    }
+  }
+  const auto r = ExecutionEngine(model, EngineOptions{serial}).run(plans);
+  char line[160];
+  std::snprintf(line, sizeof line, "%a %a\n", r.cost.time_ns,
+                r.serial_time_ns);
+  std::string out = line;
+  for (const auto& s : r.schedule) {
+    std::snprintf(line, sizeof line, "%u.%u %u %a %a %a\n", s.plan, s.step,
+                  plans[s.plan].steps[s.step].at.channel, s.start_ns,
+                  s.done_ns, s.bus_ns);
+    out += line;
+  }
+  return out;
+}
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -221,6 +272,115 @@ TEST_F(EngineTest, ProfileAccountsEveryStep) {
   EXPECT_NEAR(energy, r.cost.energy.total_pj(),
               1e-9 * r.cost.energy.total_pj());
   EXPECT_EQ(r.profile.steps[step_index(StepKind::kHostRead)], 1u);
+}
+
+TEST_F(EngineTest, MultiChannelScheduleMatchesParent) {
+  // Recorded from the scheduler that priced each channel on its own thread
+  // and merged the per-channel schedules by start time: the one greedy
+  // pass over the whole batch must reproduce them bit for bit.
+  struct Case {
+    unsigned channels;
+    AllocPolicy policy;
+    bool serial;
+    const char* expect;
+  };
+  const Case cases[] = {
+      {2, AllocPolicy::kPimAware, false,
+       R"(0x1.919999999999ap+12 0x1.a0f5fffffffffp+13
+0.0 1 0x0p+0 0x1.eb8cccccccccep+8 0x0p+0
+1.0 0 0x0p+0 0x1.ecccccccccccep+8 0x0p+0
+3.0 0 0x1.4p+0 0x1.ee0cccccccccep+8 0x0p+0
+0.1 1 0x1.eb8ccccccccdp+8 0x1.72b8ccccccccdp+12 0x1.4p+12
+1.1 0 0x1.eccccccccccdp+8 0x1.72ccccccccccdp+12 0x1.4p+12
+2.0 1 0x1.72b8ccccccccdp+12 0x1.918599999999ap+12 0x0p+0
+4.0 0 0x1.72ccccccccccdp+12 0x1.919999999999ap+12 0x0p+0
+)"},
+      {2, AllocPolicy::kPimAware, true,
+       R"(0x1.a0f5fffffffffp+13 0x1.a0f5fffffffffp+13
+0.0 1 0x0p+0 0x1.eb8cccccccccep+8 0x0p+0
+0.1 1 0x1.eb8cccccccccep+8 0x1.72b8ccccccccdp+12 0x1.4p+12
+1.0 0 0x1.72b8ccccccccdp+12 0x1.918599999999ap+12 0x0p+0
+1.1 0 0x1.918599999999ap+12 0x1.72c2ccccccccdp+13 0x1.4p+12
+2.0 1 0x1.72c2ccccccccdp+13 0x1.8229333333333p+13 0x0p+0
+3.0 0 0x1.8229333333333p+13 0x1.918f999999999p+13 0x0p+0
+4.0 0 0x1.918f999999999p+13 0x1.a0f5fffffffffp+13 0x0p+0
+)"},
+      {2, AllocPolicy::kNaive, false,
+       R"(0x1.aa0f99999999ap+14 0x1.4ee3199999998p+15
+0.0 0 0x0p+0 0x1.50f999999999ap+9 0x0p+0
+1.0 1 0x0p+0 0x1.50f999999999ap+9 0x0p+0
+3.0 1 0x1.4p+0 0x1.519999999999ap+9 0x0p+0
+4.0 0 0x1.4p+0 0x1.519999999999ap+9 0x0p+0
+0.1 0 0x1.50f9999999998p+9 0x1.943e666666666p+12 0x1.4p+12
+1.1 1 0x1.50f9999999998p+9 0x1.943e666666666p+12 0x1.4p+12
+3.1 1 0x1.519999999999ap+9 0x1.514999999999ap+10 0x0p+0
+3.2 1 0x1.803e666666666p+12 0x1.6a1f333333333p+13 0x1.4p+12
+0.2 0 0x1.943e666666666p+12 0x1.741f333333333p+13 0x1.4p+12
+1.2 1 0x1.550f99999999ap+13 0x1.050f99999999ap+14 0x1.4p+12
+1.3 1 0x1.050f99999999ap+14 0x1.5a0f99999999ap+14 0x1.4p+12
+2.0 1 0x1.4f87ccccccccdp+14 0x1.aa0f99999999ap+14 0x1.4p+12
+)"},
+      {2, AllocPolicy::kNaive, true,
+       R"(0x1.4ee3199999998p+15 0x1.4ee3199999998p+15
+0.0 0 0x0p+0 0x1.50f999999999ap+9 0x0p+0
+0.1 0 0x1.50f999999999ap+9 0x1.943e666666666p+12 0x1.4p+12
+0.2 0 0x1.943e666666666p+12 0x1.741f333333333p+13 0x1.4p+12
+1.0 1 0x1.741f333333333p+13 0x1.892eccccccccdp+13 0x0p+0
+1.1 1 0x1.892eccccccccdp+13 0x1.1f1f333333333p+14 0x1.4p+12
+1.2 1 0x1.1f1f333333333p+14 0x1.79a7p+14 0x1.4p+12
+1.3 1 0x1.79a7p+14 0x1.cea7p+14 0x1.4p+12
+2.0 1 0x1.cea7p+14 0x1.1497666666666p+15 0x1.4p+12
+3.0 1 0x1.1497666666666p+15 0x1.19db4ccccccccp+15 0x0p+0
+3.1 1 0x1.19db4ccccccccp+15 0x1.1f1f333333332p+15 0x0p+0
+3.2 1 0x1.1f1f333333332p+15 0x1.499f333333332p+15 0x1.4p+12
+4.0 0 0x1.499f333333332p+15 0x1.4ee3199999998p+15 0x0p+0
+)"},
+      {4, AllocPolicy::kPimAware, false,
+       R"(0x1.72b8ccccccccdp+12 0x1.eep+12
+0.0 3 0x0p+0 0x1.ee0cccccccccep+8 0x0p+0
+1.0 2 0x0p+0 0x1.ecccccccccccep+8 0x0p+0
+3.0 0 0x0p+0 0x1.eb8cccccccccep+8 0x0p+0
+4.0 1 0x0p+0 0x1.eb8cccccccccep+8 0x0p+0
+4.1 1 0x1.eb8ccccccccdp+8 0x1.72b8ccccccccdp+12 0x1.4p+12
+2.0 3 0x1.ee0cccccccccep+8 0x1.ee0cccccccccep+9 0x0p+0
+)"},
+      {4, AllocPolicy::kPimAware, true,
+       R"(0x1.eep+12 0x1.eep+12
+0.0 3 0x0p+0 0x1.ee0cccccccccep+8 0x0p+0
+1.0 2 0x1.ee0cccccccccep+8 0x1.ed6cccccccccep+9 0x0p+0
+2.0 3 0x1.ed6cccccccccep+9 0x1.723999999999ap+10 0x0p+0
+3.0 0 0x1.723999999999ap+10 0x1.ed1cccccccccep+10 0x0p+0
+4.0 1 0x1.ed1cccccccccep+10 0x1.3400000000001p+11 0x0p+0
+4.1 1 0x1.3400000000001p+11 0x1.eep+12 0x1.4p+12
+)"},
+      {4, AllocPolicy::kNaive, false,
+       R"(0x1.7e1f333333333p+13 0x1.d25d99999999ap+13
+0.0 2 0x0p+0 0x1.50f999999999ap+9 0x0p+0
+2.0 3 0x0p+0 0x1.50f999999999ap+9 0x0p+0
+4.0 1 0x0p+0 0x1.50f999999999ap+9 0x0p+0
+0.1 2 0x1.50f999999999ap+9 0x1.50f999999999ap+10 0x0p+0
+2.1 3 0x1.50f9999999998p+9 0x1.7e1f333333333p+12 0x1.4p+12
+1.0 2 0x1.50f999999999ap+10 0x1.f976666666667p+10 0x0p+0
+3.0 3 0x1.7e1f333333333p+12 0x1.a83e666666666p+12 0x0p+0
+3.1 3 0x1.a83e666666666p+12 0x1.7e1f333333333p+13 0x1.4p+12
+)"},
+      {4, AllocPolicy::kNaive, true,
+       R"(0x1.d25d99999999ap+13 0x1.d25d99999999ap+13
+0.0 2 0x0p+0 0x1.50f999999999ap+9 0x0p+0
+0.1 2 0x1.50f999999999ap+9 0x1.50f999999999ap+10 0x0p+0
+1.0 2 0x1.50f999999999ap+10 0x1.f976666666667p+10 0x0p+0
+2.0 3 0x1.f976666666667p+10 0x1.50f999999999ap+11 0x0p+0
+2.1 3 0x1.50f999999999ap+11 0x1.fc7cccccccccdp+12 0x1.4p+12
+3.0 3 0x1.fc7cccccccccdp+12 0x1.134ep+13 0x0p+0
+3.1 3 0x1.134ep+13 0x1.bd4ep+13 0x1.4p+12
+4.0 1 0x1.bd4ep+13 0x1.d25d99999999ap+13 0x0p+0
+)"},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(multi_channel_schedule(c.channels, c.policy, c.serial), c.expect)
+        << c.channels << " channels, "
+        << (c.policy == AllocPolicy::kNaive ? "naive" : "pim-aware")
+        << (c.serial ? ", serial" : ", overlapped");
 }
 
 }  // namespace

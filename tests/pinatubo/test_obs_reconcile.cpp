@@ -48,12 +48,8 @@ void run_demo_batch(PimRuntime& pim) {
   pim.pim_barrier();
 }
 
-class ObsReconcileTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ObsReconcileTest, SpansReconcileWithStats) {
-  PimRuntime::Options opts;
-  opts.serial_execution = GetParam();
-  PimRuntime pim({}, opts);
+TEST(ObsReconcile, SpansReconcileWithStats) {
+  PimRuntime pim;
   obs::TraceSession trace(true);
   pim.set_trace(&trace);
   run_demo_batch(pim);
@@ -74,9 +70,6 @@ TEST_P(ObsReconcileTest, SpansReconcileWithStats) {
   EXPECT_EQ(m.get("pim.steps.host-read"),
             st.by_class[step_index(StepKind::kHostRead)].steps);
 }
-
-INSTANTIATE_TEST_SUITE_P(EngineAndSerial, ObsReconcileTest,
-                         ::testing::Values(false, true));
 
 TEST(ObsReconcile, BatchesTileTheTimeline) {
   // Three flushes (two sync ops + one batch window): batch i's spans

@@ -375,6 +375,23 @@ TEST_F(ScheduleTest, TamperedSerialBaselineTripsR05) {
   expect_only(verifier_.check(plans_, r), Rule::kSerialSumMismatch);
 }
 
+TEST_F(VerifierTest, SerialMakespanMustEqualSerialSumR05) {
+  std::vector<OpPlan> plans;
+  plans.push_back(plan_of(BitOp::kOr, 2));
+  plans.push_back(plan_of(BitOp::kAnd, 2, /*host_read=*/true, 8));
+  const ExecutionEngine engine(model_, core::EngineOptions{true});
+  ExecutionEngine::Result r = engine.run(plans);
+  const Report clean = verifier_.check(plans, r, /*serial=*/true);
+  EXPECT_TRUE(clean.ok()) << clean.to_string();
+  // A serial result whose makespan no longer equals its serial sum: only
+  // the serial-mode branch of R05 notices (R04 fires too, since the last
+  // step still completes at the old makespan).
+  r.cost.time_ns -= 1.0;
+  EXPECT_TRUE(verifier_.check(plans, r, /*serial=*/true)
+                  .tripped(Rule::kSerialSumMismatch));
+  EXPECT_FALSE(verifier_.check(plans, r).tripped(Rule::kSerialSumMismatch));
+}
+
 // ---- rule catalog ----------------------------------------------------------
 
 TEST(RuleCatalog, EveryRuleHasStableIdNameInvariant) {

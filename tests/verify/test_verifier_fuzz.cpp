@@ -1,6 +1,6 @@
 // Verifier fuzz: every legal plan the stack can generate must verify
-// clean.  Random op streams across technologies, ops, row caps, serial and
-// overlapped scheduling, thread counts, and fault campaigns (whose
+// clean.  Random op streams across technologies, ops, row caps, thread
+// counts, and fault campaigns (whose
 // recovery ladders inject retry/de-escalation/remap steps) all run with
 // `verify.level = always` — the runtime throws on the first diagnostic, so
 // a single false positive fails the trial loudly.
@@ -34,7 +34,6 @@ void run_runtime_trial(std::uint64_t trial, bool faults) {
   PimRuntime::Options opts;
   opts.tech = kTechs[cfg_rng.next() % 3];
   opts.max_rows = (cfg_rng.next() % 2) ? 128 : 2;
-  opts.serial_execution = (cfg_rng.next() % 2) != 0;
   opts.reliability.verify.level = reliability::VerifyLevel::kAlways;
   if (faults) {
     opts.reliability.fault.enabled = true;

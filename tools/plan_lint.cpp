@@ -15,7 +15,6 @@
 // 2 = usage / IO error.  CI runs this over every example/bench plan, so an
 // illegal plan or a dishonest schedule fails the build, not a benchmark.
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -94,15 +93,8 @@ int run(const char* argv0, const Args& args) {
     if (rep.ok())
       std::printf("  %zu spans on %zu tracks, max end %.1f ns\n",
                   stats.spans, stats.tracks, stats.max_end_ns);
-    if (!summary_out.empty()) {
-      std::ofstream f(summary_out);
-      if (!f.good()) {
-        std::fprintf(stderr, "plan_lint: cannot write %s\n",
-                     summary_out.c_str());
-        return 2;
-      }
-      f << stats.to_json(rep) << '\n';
-    }
+    if (!summary_out.empty())
+      write_text_file(summary_out, stats.to_json(rep) + '\n');
   }
   core::PinatuboBackend backend({}, cfg);
   if (!spec.empty())
