@@ -1,6 +1,7 @@
 #include "apps/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/error.hpp"
 
@@ -9,26 +10,35 @@ namespace pinatubo::apps {
 Graph::Graph(std::uint32_t nodes,
              std::vector<std::pair<std::uint32_t, std::uint32_t>> edges) {
   PIN_CHECK(nodes > 0);
-  // Symmetrize, sort, deduplicate, drop self loops.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sym;
-  sym.reserve(edges.size() * 2);
+  // Symmetrize by counting sort on the source node (self loops drop), then
+  // sort and deduplicate each adjacency list, compacting in place.
+  offsets_.assign(std::uint64_t{nodes} + 1, 0);
   for (const auto& [u, v] : edges) {
     PIN_CHECK_MSG(u < nodes && v < nodes, "edge endpoint out of range");
     if (u == v) continue;
-    sym.emplace_back(u, v);
-    sym.emplace_back(v, u);
+    ++offsets_[u + 1];
+    ++offsets_[v + 1];
   }
-  std::sort(sym.begin(), sym.end());
-  sym.erase(std::unique(sym.begin(), sym.end()), sym.end());
-
-  offsets_.assign(nodes + 1, 0);
-  targets_.reserve(sym.size());
-  std::uint32_t cur = 0;
-  for (const auto& [u, v] : sym) {
-    while (cur < u) offsets_[++cur] = targets_.size();
-    targets_.push_back(v);
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  targets_.resize(offsets_.back());
+  std::vector<std::uint64_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    targets_[next[u]++] = v;
+    targets_[next[v]++] = u;
   }
-  while (cur < nodes) offsets_[++cur] = targets_.size();
+  std::uint64_t kept = 0;
+  for (std::uint32_t u = 0; u < nodes; ++u) {
+    const auto first = targets_.begin() + offsets_[u];
+    const auto last = targets_.begin() + offsets_[u + 1];
+    std::sort(first, last);
+    offsets_[u] = kept;
+    const auto end =
+        std::move(first, std::unique(first, last), targets_.begin() + kept);
+    kept = static_cast<std::uint64_t>(end - targets_.begin());
+  }
+  offsets_[nodes] = kept;
+  targets_.resize(kept);
 }
 
 std::pair<const std::uint32_t*, const std::uint32_t*> Graph::neighbors(
@@ -42,7 +52,8 @@ std::uint32_t Graph::degree(std::uint32_t v) const {
   return static_cast<std::uint32_t>(offsets_[v + 1] - offsets_[v]);
 }
 
-Graph generate_graph(const GraphGenParams& p, Rng& rng) {
+std::vector<std::pair<std::uint32_t, std::uint32_t>> generate_edges(
+    const GraphGenParams& p, Rng& rng) {
   PIN_CHECK(p.nodes >= 2);
   PIN_CHECK(p.communities >= 1 && p.communities <= p.nodes / 2);
   PIN_CHECK(p.avg_degree > 0);
@@ -78,7 +89,11 @@ Graph generate_graph(const GraphGenParams& p, Rng& rng) {
   }
   // Make node 0 connected to its community core.
   edges.emplace_back(0, 1);
-  return Graph(p.nodes, std::move(edges));
+  return edges;
+}
+
+Graph generate_graph(const GraphGenParams& p, Rng& rng) {
+  return Graph(p.nodes, generate_edges(p, rng));
 }
 
 DatasetPreset dblp2010_like() {

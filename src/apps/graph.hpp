@@ -56,6 +56,10 @@ struct GraphGenParams {
   double skew = 1.0;            ///< Zipf exponent for endpoint popularity
 };
 
+/// The generator's edge list (unsymmetrized, with duplicates and self
+/// loops); generate_graph builds the Graph from it.
+std::vector<std::pair<std::uint32_t, std::uint32_t>> generate_edges(
+    const GraphGenParams& params, Rng& rng);
 Graph generate_graph(const GraphGenParams& params, Rng& rng);
 
 /// A dataset preset: generator parameters + the real dataset's published

@@ -35,6 +35,10 @@ struct TraceOp {
   bool host_reads_result = false;
 };
 
+/// Largest op size whose bit count, rounded up to whole 64-bit words,
+/// still fits in 64 bits.  Op traces and the SIMD model reject larger ops.
+inline constexpr std::uint64_t kMaxTraceOpBits = ~std::uint64_t{0} - 63;
+
 /// A workload's full op stream plus its scalar surroundings.
 struct OpTrace {
   std::string name;

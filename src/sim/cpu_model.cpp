@@ -15,6 +15,16 @@ mem::Energy cache_component(unsigned level) {
       static_cast<unsigned>(mem::Energy::kCpuL1) + level);
 }
 
+/// Word-aligned footprint: the host kernels (BitVector) process whole
+/// 64-bit words, so the baseline is charged for the same word count the
+/// PIM functional layer touches.  Identical to (bits+7)/8 for the word-
+/// multiple sizes of every figure; only sub-word tails round up.
+std::uint64_t op_bytes(const TraceOp& op) {
+  PIN_CHECK_MSG(op.bits <= kMaxTraceOpBits,
+                op.bits << "-bit op: its size in whole words overflows");
+  return (op.bits + 63) / 64 * 8;
+}
+
 /// Virtual base address for a logical vector id: ids get disjoint, line-
 /// aligned arenas so cache behaviour matches a real allocator's.
 std::uint64_t vector_base(std::uint64_t id, std::uint64_t bytes) {
@@ -24,6 +34,16 @@ std::uint64_t vector_base(std::uint64_t id, std::uint64_t bytes) {
 }
 
 }  // namespace
+
+std::uint64_t op_stream_lines(const TraceOp& op, unsigned line_bytes,
+                              std::vector<std::uint64_t>& base_lines) {
+  const std::uint64_t bytes = op_bytes(op);
+  base_lines.clear();
+  for (const auto src : op.srcs)
+    base_lines.push_back(vector_base(src, bytes) / line_bytes);
+  base_lines.push_back(vector_base(op.dst, bytes) / line_bytes);
+  return (bytes + line_bytes - 1) / line_bytes;
+}
 
 const char* to_string(MemKind k) {
   return k == MemKind::kDram ? "DRAM" : "PCM";
@@ -43,7 +63,11 @@ MemStreamParams stream_params(MemKind kind) {
 }
 
 SimdCpuModel::SimdCpuModel(const CpuConfig& cfg, MemKind mem)
-    : cfg_(cfg), mem_(mem), mem_params_(stream_params(mem)) {
+    : cfg_(cfg),
+      mem_(mem),
+      mem_params_(stream_params(mem)),
+      cache_(haswell_cache_config()) {
+  PIN_CHECK(cache_.levels() <= kCacheEnergyLevels);
   PIN_CHECK(cfg.cores >= 1);
   PIN_CHECK(cfg.bulk_cores >= 1 && cfg.bulk_cores <= cfg.cores);
   PIN_CHECK(cfg.freq_ghz > 0);
@@ -59,34 +83,19 @@ double SimdCpuModel::compute_gbps() const {
 mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
   PIN_CHECK(!op.srcs.empty());
   PIN_CHECK(op.bits > 0);
-  if (!cache_) {
-    cache_.emplace(haswell_cache_config());
-    PIN_CHECK(cache_->levels() <= kCacheEnergyLevels);
-  }
-  CacheHierarchy& cache = *cache_;
-  const std::uint64_t line = cache.line_bytes();
-  // Word-aligned footprint: the host kernels (BitVector) process whole
-  // 64-bit words, so the baseline is charged for the same word count the
-  // PIM functional layer touches.  Identical to (bits+7)/8 for the word-
-  // multiple sizes of every figure; only sub-word tails round up.
-  const std::uint64_t bytes = (op.bits + 63) / 64 * 8;
-  const std::uint64_t lines = (bytes + line - 1) / line;
-  const std::uint64_t n_streams = op.srcs.size() + 1;  // +dst
-  const std::uint64_t processed = bytes * op.srcs.size();
-
-  cache.reset_stats();
-  for (std::uint64_t i = 0; i < lines; ++i) {
-    for (const auto src : op.srcs)
-      cache.access(vector_base(src, bytes) + i * line);
-    cache.access(vector_base(op.dst, bytes) + i * line);
-  }
+  const std::uint64_t line = cache_.line_bytes();
+  const std::uint64_t lines = op_stream_lines(op, line, stream_lines_);
+  const std::uint64_t n_streams = stream_lines_.size();  // srcs + dst
+  const std::uint64_t processed = op_bytes(op) * op.srcs.size();
+  cache_.reset_stats();
+  cache_.walk(stream_lines_, lines);
   // Convert the per-level service tallies into the roofline bounds.
-  const auto& served = cache.served_lines();
+  const auto& served = cache_.served_lines();
   const double line_b = static_cast<double>(line);
   double t = static_cast<double>(processed) / compute_gbps();
   mem::Cost cost;
-  for (unsigned l = 0; l < cache.levels(); ++l) {
-    const auto& cfg = cache.level(l).config();
+  for (unsigned l = 0; l < cache_.levels(); ++l) {
+    const auto& cfg = cache_.level_config(l);
     t = std::max(t, static_cast<double>(served[l]) * line_b /
                         cfg.bandwidth_gbps);
     cost.energy.add(cache_component(l),
@@ -96,7 +105,7 @@ mem::Cost SimdCpuModel::bulk_op(const TraceOp& op) {
   // that will eventually be written back are the dst allocations among
   // those misses, assuming misses distribute evenly across streams
   // (cached dst lines get rewritten in place).
-  const std::uint64_t mem_lines = served[cache.levels()];
+  const std::uint64_t mem_lines = served[cache_.levels()];
   const double rd_bytes = static_cast<double>(mem_lines) * line_b;
   const double wr_bytes = static_cast<double>(mem_lines / n_streams) * line_b;
   t = std::max(t, rd_bytes / mem_params_.read_gbps +
@@ -135,8 +144,6 @@ mem::Cost SimdCpuModel::scalar(std::uint64_t ops, std::uint64_t bytes) const {
   return cost;
 }
 
-void SimdCpuModel::reset() {
-  if (cache_) cache_->flush();
-}
+void SimdCpuModel::reset() { cache_.flush(); }
 
 }  // namespace pinatubo::sim

@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "mem/energy.hpp"
 #include "sim/backend.hpp"
@@ -59,6 +59,12 @@ struct CpuConfig {
   double scalar_miss_fraction = 0.3;
 };
 
+/// The streams one bulk op walks through the caches: fills `base_lines`
+/// with the first line of each operand's arena (srcs, then dst) and returns
+/// the lines every operand spans.
+std::uint64_t op_stream_lines(const TraceOp& op, unsigned line_bytes,
+                              std::vector<std::uint64_t>& base_lines);
+
 class SimdCpuModel {
  public:
   SimdCpuModel(const CpuConfig& cfg, MemKind mem);
@@ -83,9 +89,8 @@ class SimdCpuModel {
   CpuConfig cfg_;
   MemKind mem_;
   MemStreamParams mem_params_;
-  /// Built by the first bulk op: scalar() never walks the caches, so a
-  /// model that only prices scalar work skips the ~2.4 MB Haswell tag store.
-  std::optional<CacheHierarchy> cache_;
+  CacheHierarchy cache_;
+  std::vector<std::uint64_t> stream_lines_;  ///< per-op scratch
 };
 
 }  // namespace pinatubo::sim

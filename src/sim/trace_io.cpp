@@ -83,6 +83,8 @@ OpTrace load_trace(std::istream& is) {
       ls >> op_name;
       op.op = op_from_name(op_name);
       op.bits = read_u64(ls, line);
+      PIN_CHECK_MSG(op.bits <= kMaxTraceOpBits,
+                    "op size in whole 64-bit words overflows: " << line);
       op.dst = read_u64(ls, line);
       const std::uint64_t host = read_u64(ls, line);
       PIN_CHECK_MSG(host <= 1, "host flag must be 0 or 1: " << line);

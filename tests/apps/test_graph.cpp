@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <queue>
 
@@ -39,6 +40,60 @@ TEST(Graph, RejectsBadEdges) {
   const auto g = small_graph();
   EXPECT_THROW(g.neighbors(6), Error);
   EXPECT_THROW(g.degree(6), Error);
+}
+
+using EdgeList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// The CSR `g` must hold: both directions of every non-loop edge, sorted
+/// and deduplicated per source, by a sort over all the pairs.
+void expect_sorted_csr(const Graph& g, std::uint32_t nodes,
+                       const EdgeList& edges) {
+  EdgeList sym;
+  for (const auto& [u, v] : edges) {
+    if (u == v) continue;
+    sym.emplace_back(u, v);
+    sym.emplace_back(v, u);
+  }
+  std::sort(sym.begin(), sym.end());
+  sym.erase(std::unique(sym.begin(), sym.end()), sym.end());
+  ASSERT_EQ(g.nodes(), nodes);
+  ASSERT_EQ(g.edges(), sym.size());
+  auto it = sym.begin();
+  for (std::uint32_t u = 0; u < nodes; ++u) {
+    const auto [b, e] = g.neighbors(u);
+    for (const std::uint32_t* t = b; t != e; ++t, ++it)
+      ASSERT_EQ(*it, std::make_pair(u, *t)) << "node " << u;
+  }
+}
+
+TEST(Graph, CsrEqualsTheSortedPairs) {
+  Rng rng(99);
+  for (const std::uint32_t nodes : {1u, 2u, 7u, 100u, 5000u}) {
+    for (int rep = 0; rep < 3; ++rep) {
+      EdgeList edges;
+      const std::uint64_t n = rng.uniform_u64(4 * nodes + 10);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const auto u = static_cast<std::uint32_t>(rng.uniform_u64(nodes));
+        const auto v = rng.chance(0.1)
+                           ? u  // self loop
+                           : static_cast<std::uint32_t>(rng.uniform_u64(nodes));
+        edges.emplace_back(u, v);
+        if (rng.chance(0.2)) edges.emplace_back(v, u);  // reversed duplicate
+        if (rng.chance(0.2)) edges.emplace_back(u, v);  // exact duplicate
+      }
+      expect_sorted_csr(Graph(nodes, edges), nodes, edges);
+    }
+  }
+}
+
+TEST(Presets, CsrEqualsTheSortedPairs) {
+  for (auto preset : {dblp2010_like(), eswiki2013_like(), amazon2008_like()}) {
+    preset.gen.nodes >>= 4;
+    Rng rng(17);
+    const EdgeList edges = generate_edges(preset.gen, rng);
+    expect_sorted_csr(Graph(preset.gen.nodes, edges), preset.gen.nodes,
+                      edges);
+  }
 }
 
 TEST(Generator, ProducesRequestedShape) {

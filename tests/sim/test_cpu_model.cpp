@@ -180,6 +180,9 @@ TEST(SimdCpuModel, RejectsBadOps) {
   EXPECT_THROW(cpu.bulk_op(empty), Error);
   TraceOp zero = or2(0);
   EXPECT_THROW(cpu.bulk_op(zero), Error);
+  // Whole words of 2^64 - 1 bits overflow: the op must not price as free.
+  EXPECT_THROW(cpu.bulk_op(or2(~0ull)), Error);
+  EXPECT_THROW(cpu.bulk_op(or2(kMaxTraceOpBits + 1)), Error);
 }
 
 TEST(MemKindNames, Printable) {

@@ -129,6 +129,19 @@ TEST(TraceIo, RejectsBadScalarLines) {
   EXPECT_EQ(load_error("trace t\nscalar 10 20 1e-05\nend\n"), "");
 }
 
+TEST(TraceIo, RejectsOpsTooLargeToCountInWords) {
+  // Rounding 2^64 - 1 bits up to whole words wrapped to 0 bytes, which
+  // every backend then priced as free.
+  const std::string line = "op OR 18446744073709551615 2 0 1 0";
+  const std::string err = load_error("trace t\n" + line + "\nend\n");
+  EXPECT_NE(err.find("whole 64-bit words"), std::string::npos) << err;
+  EXPECT_NE(err.find(line), std::string::npos) << err;
+  EXPECT_NE(load_error("trace t\nop OR 18446744073709551553 2 0 1 0\nend\n"),
+            "");
+  EXPECT_EQ(load_error("trace t\nop OR 18446744073709551552 2 0 1 0\nend\n"),
+            "");
+}
+
 TEST(TraceIo, FileRoundTripOfRealWorkload) {
   const auto trace =
       apps::vector_trace(apps::VectorSpec::parse("14-8-3s"));
